@@ -31,23 +31,21 @@ class PipelineConfig:
     # worst-case per-span work at ~2x the budget for real engines.
     span_soft_timeout_ms: float = 600_000.0
 
-    # --- physical strategy:
-    # "nested"   (default) one lineage, docs stay whole rows; right when
-    #            per-doc work is bounded (max_spans_per_doc caps it, the
-    #            MAX_NUM_PAGES analog) — zero shuffle.
-    # "exploded" one lineage, EVERY doc -> span rows -> actor pool ->
-    #            groupby(doc_id) reassembly; right when per-span work is
-    #            heavy (real OCR at seconds/page) so one doc must spread
-    #            across the cluster.
-    # "hybrid"   both, split at explode_threshold via a union of two
-    #            filtered branches; NOTE Ray's UnionOperator does not
-    #            overlap branch execution well (measured 2x wall on an
-    #            empty big branch), so prefer pre-bucketing the input by
-    #            size and running nested+exploded jobs instead.
+    # --- physical strategy (one lineage per job either way):
+    # "nested"   (default) docs stay whole rows; right when per-doc work
+    #            is bounded (max_spans_per_doc caps it, the MAX_NUM_PAGES
+    #            analog) — zero shuffle.
+    # "exploded" EVERY doc -> span rows -> actor pool -> bucketed
+    #            reassembly; right when per-span work is heavy (real OCR
+    #            at seconds/page) so one doc must spread across the
+    #            cluster.
+    # A corpus mixing both kinds is pre-bucketed by size and run as one
+    # job of each (pipelines/bucketize.py, run_job.py --mode auto).
     pipeline_mode: str = "nested"
-    # hybrid-mode split point. Tuned to per-span COST, not count: at
-    # ~0.6 ms/span (simulated OCR) a 1000-span doc is 0.6 s of work —
-    # not a straggler; with real Tesseract (~s/page) drop this to ~32.
+    # small/big split point of that bucketing. Tuned to per-span COST,
+    # not count: at ~0.6 ms/span (simulated OCR) a 1000-span doc is 0.6 s
+    # of work — not a straggler; with real Tesseract (~s/page) drop this
+    # to ~32.
     explode_threshold: int = 1000
 
     # --- Ray execution knobs
@@ -56,12 +54,11 @@ class PipelineConfig:
     # docs dominates above that)
     extract_batch_size: int = 128
     span_batch_size: int = 256            # spans per actor call (exploded path)
-    # actor pool (min, max): min MUST stay small — the nested-path and
-    # exploded-path pools coexist in one execution, and min actors reserve
-    # CPUs up front; a min of 2+2 on a 4-CPU test node starves the task
-    # operators (read/validate) and the pipeline deadlocks.  max is high:
-    # the autoscaler stops at available CPUs anyway, and a low cap idles
-    # large clusters (observed: 16 capped the 32-CPU bench at 8-CPU speed).
+    # actor pool size: an int pins it; the (min, max) default means
+    # "size from the cluster" — _pool_and_blocks in
+    # pipelines/extract_pipeline.py pre-starts most CPUs as actors but
+    # always leaves some for the task operators (read/validate/write),
+    # which would otherwise starve and deadlock the pipeline.
     extract_concurrency: int | tuple = (1, 128)
     ocr_conf_bins: int = 10               # confidence histogram 0..100 step 10
     # exploded-path reassembly bucket count (None = cluster-sized
@@ -78,6 +75,9 @@ class PipelineConfig:
     shard_partitions: int = 16            # checkpointable output partitions
 
     def __post_init__(self):
+        if self.pipeline_mode not in ("nested", "exploded"):
+            raise ValueError(f"unknown pipeline_mode {self.pipeline_mode!r}"
+                             " (expected 'nested' or 'exploded')")
         if self.explode_threshold > self.max_spans_per_doc:
             raise ValueError("explode_threshold must be <= max_spans_per_doc")
 

@@ -329,7 +329,9 @@ def export_packs_jsonl(pack_rows_ds, out_dir: str,
     trainer-facing file layout aligned with the pack hash sharding,
     so resumable loaders can address shards independently), plus a
     ``manifest.json`` with per-shard row counts and the column list.
-    Writes are atomic per shard (tmp+rename); re-export replaces.
+    Writes are atomic per shard (tmp+rename); re-export replaces: any
+    ``shard-*.jsonl`` the new manifest does not list is deleted, so a
+    glob-based loader reads exactly the manifest's shards.
 
     Scale shape: one Ray task per shard writes its own file (rows of a
     shard co-locate by construction); nothing funnels through the
@@ -364,6 +366,11 @@ def export_packs_jsonl(pack_rows_ds, out_dir: str,
         "n_packs": int(sum(r["n_rows"] for r in stats)),
         "columns": columns,
     }
+    keep = {f"shard-{k:05d}.jsonl" for k in manifest["shards"]}
+    for name in os.listdir(out_dir):
+        if (name.startswith("shard-") and name.endswith(".jsonl")
+                and name not in keep):
+            os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
     return manifest

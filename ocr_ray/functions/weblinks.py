@@ -94,7 +94,8 @@ def extract_links(html: str, base_url: str = ""
 
 
 def url_id(url: str) -> int:
-    """Stable int64 node id of a canonical URL (md5 low 63 bits)."""
+    """Stable int64 node id of a canonical URL: the high 63 bits of the
+    md5 digest's first 8 bytes read big-endian."""
     d = hashlib.md5(url.encode()).digest()
     return int.from_bytes(d[:8], "big") >> 1
 

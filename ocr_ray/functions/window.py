@@ -7,8 +7,8 @@ spend`` the ROWS-k window, ``sessionize`` the gap window); this module
 exposes the remaining two shapes as reusable Dataset-level APIs with
 the same column contract as asof_pairs — int64 (key, ts, id, val) —
 completing the generic windowing family (assign_sessions,
-grouped_top_k, global_row_index / percent_rank / ntile, asof_pairs,
-interval_overlap, melt, and now keyed_lag / rolling_range_agg).
+grouped_top_k, asof_pairs, interval_overlap, melt, and now keyed_lag /
+rolling_range_agg).
 
 Scale design:
 

@@ -18,9 +18,11 @@ The output is the raw block sequence; line-level rejection rules
 (ocr_ray.kernels.cleaner) run afterwards, exactly like Cleaner runs after
 the block walk in the reference (ocr_service.py:144).
 
-Implementation is a single streaming pass with the stdlib HTMLParser —
-no recursion, so 100+-level nested DOMs (the ``deep_dom`` archetype) are
-handled in O(depth) memory.
+Implementation is one streaming regex scan (``_scan_fused``) — no
+recursion, so 100+-level nested DOMs (the ``deep_dom`` archetype) are
+handled in O(depth) memory.  The stdlib-HTMLParser collector and the
+un-inlined ``_scan`` below are its parity references (tests/) and its
+salvage fallback.
 """
 
 from __future__ import annotations
@@ -95,11 +97,11 @@ class _BlockCollector(HTMLParser):
 
 
 # ---------------------------------------------------------------------
-# fast scanner: one compiled regex walk driving the SAME collector
-# callbacks as the stdlib HTMLParser (kept below as the parity
-# reference — tests/test_property.py asserts scanner == HTMLParser on
-# the fixture corpus and generated inputs).  ~4x faster per span; the
-# stdlib parser's goahead loop dominated the extraction kernel profile.
+# regex scanner: one compiled regex walk driving the SAME collector
+# callbacks as the stdlib HTMLParser (the parity reference above —
+# tests/test_property.py asserts scanner == HTMLParser on generated
+# inputs).  ~4x faster per span; the stdlib parser's goahead loop
+# dominated the extraction kernel profile.
 
 _MARKUP_RE = re.compile(
     r"<!--.*?(?:-->|$)"                                  # comment
@@ -163,8 +165,8 @@ def _scan(html: str, c: "_BlockCollector") -> None:
 
 def _scan_fused(html: str) -> list[tuple[str, int]]:
     """The _scan loop with the collector state INLINED as locals —
-    byte-identical block output to _scan + _BlockCollector (three-way
-    parity property test in tests/test_property.py), minus ~500k bound-
+    byte-identical block output to _scan + _BlockCollector (parity
+    property tests in tests/test_property.py), minus ~500k bound-
     method calls and attribute loads per 400 docs: handle_data /
     starttag / endtag were pure state flips, so the dispatch cost
     exceeded the work."""
@@ -276,244 +278,32 @@ def _scan_fused(html: str) -> list[tuple[str, int]]:
     return blocks
 
 
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9.\-:_]*")
-# start-tag attr tail: exactly _MARKUP_RE's third/fourth groups
-_ATTRS_RE = re.compile(r"((?:\"[^\"]*\"|'[^']*'|[^<>\"'])*)(>|$)", re.DOTALL)
+def _drop_link_farms(blocks: list[tuple[str, int]],
+                     max_link_density: float = 0.5) -> list[str]:
+    """Drop link-farm blocks (link chars / chars > max_link_density)."""
+    return [text for text, link_chars in blocks
+            if not (text and link_chars / len(text) > max_link_density)]
 
 
-def _scan_split(html: str) -> list[tuple[str, int]]:
-    """Round-5 scanning experiment — RECORDED NEGATIVE RESULT: drive
-    the scan with C-speed ``str.find`` hops between '<' characters and
-    small anchored name/attrs matches, instead of one big-alternation
-    regex search per markup item.  Block output is byte-identical to
-    ``_scan_fused`` / ``_scan`` / stdlib HTMLParser (four-way parity
-    property test incl. adversarial EOF tails; 100k-doc fuzz clean),
-    but on the realistic fixture corpus it is ~1.4x SLOWER than
-    _scan_fused (0.55 s vs 0.39 s per 7,924 spans): ~111k markup items
-    pay 2 Python-level re.match calls + 3 str.find hops + branchy
-    dispatch each, where _MARKUP_RE classifies and extracts in ONE
-    C-level search (cProfile: 0.44 s tottime in the loop itself, no
-    single reducible hotspot).  Kept as a parity-tested executable
-    record; ``fused`` stays the default engine.
-
-    Semantics notes inline mirror _MARKUP_RE's exact matching behavior,
-    including the lazy comment/CDATA ``$``-before-final-newline rule,
-    re-emitting EOF-unterminated markup as data, and extending the
-    pending data run past a '<' that opens no markup (unquoted '<' /
-    unterminated quote) so data-chunk boundaries — and thus the
-    per-chunk strip() in the link-char count — match byte-for-byte."""
-    blocks: list[tuple[str, int]] = []
-    parts: list[str] = []
-    link_chars = 0
-    drop_depth = 0
-    anchor_depth = 0
-    pos, n = 0, len(html)
-    find = html.find
-    ws_sub = _WS.sub
-    name_match = _NAME_RE.match
-    attrs_match = _ATTRS_RE.match
-
-    def flush():
-        nonlocal parts, link_chars
-        text = ws_sub(" ", "".join(parts)).strip()
-        if text:
-            blocks.append((text, link_chars))
-        parts = []
-        link_chars = 0
-
-    def emit(data):
-        nonlocal link_chars
-        if drop_depth or not data:
-            return
-        if "&" in data:
-            data = _unescape(data)
-        parts.append(data)
-        if anchor_depth:
-            link_chars += len(data.strip())
-
-    while pos < n:
-        # Hop to the next REAL markup '<' at C speed.  A '<' that opens
-        # no markup (no name, '</' without a name, or a start tag whose
-        # attrs never close: unquoted '<' / unterminated quote) stays
-        # INSIDE the pending data run — _MARKUP_RE emits one data chunk
-        # spanning literal '<'s, and the link-char count strips each
-        # chunk, so chunk boundaries must match byte-for-byte.
-        lt = find("<", pos)
-        start_m = None
-        start_j = 0
-        start_attrs = ""
-        while lt != -1:
-            c = html[lt + 1:lt + 2]
-            if c == "!" or c == "?":
-                break
-            if c == "/":
-                if name_match(html, lt + 2) is not None:
-                    break
-                lt = find("<", lt + 1)
-                continue
-            m = name_match(html, lt + 1)
-            if m is not None:
-                # start tag: attrs = (quoted string | [^<>"'])* then
-                # '>' or EOF, else the whole tag is literal data
-                ma = attrs_match(html, m.end())
-                if ma is not None:
-                    start_m, start_j, start_attrs = m, ma.end(1), ma.group(1)
-                    break
-            lt = find("<", lt + 1)
-        if lt == -1:
-            emit(html[pos:])
-            break
-        if lt > pos:
-            emit(html[pos:lt])
-        c = html[lt + 1:lt + 2]
-        if c == "!":
-            if html.startswith("<!--", lt):
-                f = find("-->", lt + 4)
-                if f != -1:
-                    pos = f + 3
-                    continue
-                # no closer: the regex's lazy `.*?(?:-->|$)` ends the
-                # match at `$`, which in Python also matches BEFORE a
-                # final newline — then the comment is "terminated"
-                # markup (swallowed) and the final '\n' is data.  At
-                # true EOF the fused engine re-emits the tail as data
-                # unless the closer overlaps the opener ('<!-->').
-                if html[n - 1] == "\n":
-                    pos = n - 1
-                    continue
-                if html.endswith("-->"):
-                    break
-                emit(html[lt:])
-                break
-            if html.startswith("<![CDATA[", lt):
-                f = find("]]>", lt + 9)
-                if f != -1:
-                    pos = f + 3
-                    continue
-                if html[n - 1] == "\n":    # same `$`-before-'\n' rule
-                    pos = n - 1
-                    continue
-                if html.endswith("]]>"):
-                    break
-                emit(html[lt:])
-                break
-            gt = find(">", lt + 2)
-            if gt == -1:          # doctype/decl to EOF -> data
-                emit(html[lt:])
-                break
-            pos = gt + 1
-            continue
-        if c == "?":
-            gt = find(">", lt + 2)
-            if gt == -1:
-                emit(html[lt:])
-                break
-            pos = gt + 1
-            continue
-        if c == "/":
-            m = name_match(html, lt + 2)
-            gt = find(">", m.end())
-            if gt == -1:           # unterminated end tag at EOF -> data
-                emit(html[lt:])
-                break
-            pos = gt + 1
-            tag = m.group(0).lower()
-            if tag in DROP_TAGS:
-                if drop_depth > 0:
-                    drop_depth -= 1
-            else:
-                if tag in BLOCK_TAGS and parts:
-                    flush()
-                if tag == "a" and anchor_depth > 0:
-                    anchor_depth -= 1
-            continue
-        # start tag, pre-validated (extent computed) by the hop loop
-        m, j, attrs = start_m, start_j, start_attrs
-        if j >= n:                 # '$'-closed start tag at EOF -> data
-            emit(html[lt:])
-            break
-        pos = j + 1
-        tag = m.group(0).lower()
-        if tag in DROP_TAGS:
-            if parts:
-                flush()
-            if tag not in VOID_TAGS:
-                drop_depth += 1
-        else:
-            if tag in BLOCK_TAGS and parts:
-                flush()
-            if tag == "a":
-                anchor_depth += 1
-        if attrs.rstrip().endswith("/"):
-            # <x/> => startendtag: replay the endtag state flips
-            if tag in DROP_TAGS:
-                if drop_depth > 0:
-                    drop_depth -= 1
-            elif tag in BLOCK_TAGS and parts:
-                flush()
-            elif tag == "a" and anchor_depth > 0:
-                anchor_depth -= 1
-        elif tag in _CDATA_CLOSE:
-            mm = _CDATA_CLOSE[tag].search(html, pos)
-            if mm is None:
-                break              # unterminated script/style: swallowed
-            if not drop_depth:
-                data = html[pos:mm.start()]
-                if data:
-                    parts.append(data)
-                    if anchor_depth:
-                        link_chars += len(data.strip())
-            gt = find(">", mm.start())
-            if tag in DROP_TAGS:
-                if drop_depth > 0:
-                    drop_depth -= 1
-            elif tag in BLOCK_TAGS and parts:
-                flush()
-            elif tag == "a" and anchor_depth > 0:
-                anchor_depth -= 1
-            if gt == -1:
-                break
-            pos = gt + 1
-    if parts:
-        flush()
-    return blocks
-
-
-def html_to_blocks(html: str, *, max_link_density: float = 0.5,
-                   _engine: str = "fused") -> list[str]:
+def html_to_blocks(html: str, *, max_link_density: float = 0.5) -> list[str]:
     """Parse HTML into reading-order main-content blocks.
 
     Pure function; tolerant of malformed HTML (never raises).  Plain
     text (no tags) comes back as its own block sequence — the same code
-    path serves non-HTML text spans.  ``_engine="stdlib"`` runs the
-    HTMLParser reference implementation (parity-tested against the fast
-    scanner).
+    path serves non-HTML text spans.
     """
-    blocks: list[tuple[str, int]]
-    if _engine in ("fused", "split"):
-        try:
-            blocks = _scan_split(html) if _engine == "split" else _scan_fused(html)
-        except Exception:  # pragma: no cover — scanners never raise;
-            _engine = "fast"  # exception path keeps the partial-salvage
-            # semantics of the collector engines below
-    if _engine not in ("fused", "split"):
+    try:
+        blocks = _scan_fused(html)
+    except Exception:  # pragma: no cover — the scanner never raises;
+        # salvage whatever the collector saw before the failure
         parser = _BlockCollector()
         try:
-            if _engine == "fast":
-                _scan(html, parser)
-                parser._flush()
-            else:
-                parser.feed(html)
-                parser.close()
-        except Exception:  # collectors are robust; belt and braces
+            _scan(html, parser)
+            parser._flush()
+        except Exception:
             pass
         blocks = parser.blocks
-    kept = []
-    for text, link_chars in blocks:
-        if len(text) > 0 and link_chars / len(text) > max_link_density:
-            continue
-        kept.append(text)
-    return kept
+    return _drop_link_farms(blocks, max_link_density)
 
 
 def extract_main_text(html: str, *, max_link_density: float = 0.5) -> str:

@@ -1,10 +1,11 @@
 """Size-bucketed corpus layout — the scale-path answer to mixed corpora.
 
 BASELINE.md records that Ray's UnionOperator does not overlap branch
-execution, so the in-pipeline small/big split (hybrid mode) pays ~2x.
-The right move at scale is to make the split a property of the STORAGE
-LAYOUT: one cheap pass partitions the corpus by span count via a
-``partition_cols`` write (each task routes its rows; no shuffle), then
+execution, so an in-pipeline small/big split (a union of a nested and an
+exploded branch) pays ~2x wall.  The right move at scale is to make the
+split a property of the STORAGE LAYOUT: one cheap pass partitions the
+corpus by span count via a ``partition_cols`` write (each task routes
+its rows; no shuffle), then
 the nested job runs over ``size_bucket=small`` and the exploded job over
 ``size_bucket=big`` — two single-lineage jobs, each with the physical
 strategy that fits its data.

@@ -1,20 +1,18 @@
 """The flagship extraction pipeline.
 
     read -> validate -> { nested extract | explode -> span extract ->
-    groupby(doc_id) reassemble } -> union -> write
+    groupby(bucket) reassemble } -> write
 
 Physical notes (SURVEY.md §4):
 
-* the small/big split is expressed as two filtered branches over the same
-  (cheap) read+validate prefix.  Ray Data executes each branch's lineage
-  independently — the double scan is deliberate: this workload is compute
-  bound (HTML parse + OCR dominate the read by >100x), so re-reading the
-  pruned input costs ~1% while avoiding a mid-pipeline materialize() of
-  the whole corpus, which would defeat streaming at the 100 TB target.
-* the ONLY all-to-all shuffle is the ``groupby(doc_id)`` reassembling
-  exploded mega-docs — a small fraction of rows by construction
-  (n_spans > explode_threshold).  Per-span rows distribute evenly, which
-  IS the skew mitigation: a 900-span doc becomes 900 independent rows.
+* each job runs ONE lineage: ``pipeline_mode`` picks nested (docs stay
+  whole rows) or exploded (every doc becomes span rows).  A corpus that
+  mixes small docs with monsters is pre-bucketed by size and run as one
+  job of each (pipelines/bucketize.py) — never a union of two branches
+  in one execution.
+* the ONLY all-to-all shuffle is the exploded path's reassembly
+  ``groupby`` — per-span rows distribute evenly, which IS the skew
+  mitigation: a 900-span doc becomes 900 independent rows.
 * no stage materializes the dataset; output is streamed to partitioned
   parquet.  Failed docs are routed to a sidecar table, not dropped
   (reference marks them ocr_failed, ocr_worker.py:322-330).
@@ -39,9 +37,9 @@ def _pool_and_blocks(cfg: PipelineConfig) -> tuple[tuple, int]:
 
     Measured on the 32-CPU bench: an autoscaling (1, N) pool ramps so
     slowly that the exploded stage ran ~1-core (23 s for a 23-CPU-second
-    workload); pre-starting min = CPUs/2 - 2 actors per branch cut it to
-    4.3 s.  Two branches coexist, so each pool's floor leaves headroom
-    for the task operators (read/validate/write) — the starvation rule.
+    workload); pre-starting min = CPUs/2 - 2 actors cut it to 4.3 s.
+    The pool's floor leaves headroom for the task operators
+    (read/validate/write) — the starvation rule.
     Blocks are split to ~4x CPUs before the heavy stages so every actor
     has work from the first scheduling tick.
     """
@@ -58,17 +56,6 @@ def _pool_and_blocks(cfg: PipelineConfig) -> tuple[tuple, int]:
         floor = max(1, min(total - 2, max(2, total * 2 // 3)))
         pool = (floor, max(total, 2))
     return pool, max(16, total * 4)
-
-
-def _big_pool(cfg: PipelineConfig):
-    """The exploded branch is usually near-empty (only true monster docs
-    route here), so it autoscales from 1 instead of pre-reserving CPUs."""
-    import ray
-
-    total = int(ray.cluster_resources().get("CPU", 8))
-    if isinstance(cfg.extract_concurrency, int):
-        return cfg.extract_concurrency
-    return (1, max(total, 2))
 
 
 def _nested_branch(ok, cfg: PipelineConfig, pool):
@@ -127,8 +114,8 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Lazy Dataset of extraction results (RESULT_SCHEMA rows: doc_id,
     spans, per-doc metric columns) for the valid documents of ``ds``.
 
-    Physical strategy per cfg.pipeline_mode (see config.py): "nested"
-    and "exploded" are single-lineage; "hybrid" unions a filtered pair.
+    Physical strategy per cfg.pipeline_mode (see config.py), one
+    lineage either way.
     """
     pool, nblocks = _pool_and_blocks(cfg)
 
@@ -142,15 +129,7 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     validated = ds.map_batches(
         validate_batch, batch_format="pyarrow", fn_kwargs={"cfg": cfg})
     ok = validated.filter(expr="reject_reason == ''")
-    if cfg.pipeline_mode == "exploded":
-        return _exploded_branch(ok, cfg, pool, nblocks)
-    if cfg.pipeline_mode != "hybrid":
-        raise ValueError(f"unknown pipeline_mode {cfg.pipeline_mode!r}")
-
-    small = ok.filter(expr=f"n_spans <= {cfg.explode_threshold}")
-    big = ok.filter(expr=f"n_spans > {cfg.explode_threshold}")
-    return _nested_branch(small, cfg, pool).union(
-        _exploded_branch(big, cfg, _big_pool(cfg), nblocks))
+    return _exploded_branch(ok, cfg, pool, nblocks)
 
 
 def build_failed(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -199,12 +178,9 @@ def derive_failed_sidecar(extracted_dir: str, failed_dir: str) -> int:
     return n
 
 
-def run_extraction(
-    input_path: str,
-    output_dir: str,
-    cfg: PipelineConfig = DEFAULT_CONFIG,
-) -> dict:
-    """Execute the pipeline end to end, writing:
+def write_extraction(ds, output_dir: str,
+                     cfg: PipelineConfig = DEFAULT_CONFIG) -> dict:
+    """Write the extraction of ``ds`` and its sidecar:
 
         {output_dir}/extracted/   RESULT_SCHEMA rows; reject_reason == ''
                                   marks successfully extracted docs (nested
@@ -212,19 +188,53 @@ def run_extraction(
                                   zero-metric rows — single execution)
         {output_dir}/failed/      doc_id, reason sidecar
 
-    Returns summary counts. For the resumable sharded runner see
-    ocr_ray.state.checkpoint.CheckpointedRunner.
+    Nested mode projects the sidecar out of the written output; exploded
+    mode drops rejects before extraction, so it rebuilds the sidecar
+    from the input.  Both directories exist afterwards even when empty
+    (an empty dataset writes no files).  Returns the counts
+    ``{"extracted": ok docs, "failed": rejected docs}``.
     """
     import os
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
+    extracted, failed = f"{output_dir}/extracted", f"{output_dir}/failed"
+    os.makedirs(extracted, exist_ok=True)
+    build_extracted(ds, cfg).write_parquet(extracted)
+
+    if cfg.pipeline_mode == "nested":
+        n_failed = derive_failed_sidecar(extracted, failed)
+    else:
+        os.makedirs(failed, exist_ok=True)
+        build_failed(ds, cfg).write_parquet(failed)
+        frag = pads.dataset(failed)
+        n_failed = frag.count_rows() if frag.files else 0
+
+    frag = pads.dataset(extracted)
+    if frag.files:  # empty when every doc was rejected (e.g. a bucket of
+        # only over-cap monsters) — write_parquet emits no files then
+        reasons = frag.to_table(columns=["reject_reason"])
+        n_ok = reasons.filter(
+            pc.equal(reasons["reject_reason"], "")).num_rows
+    else:
+        n_ok = 0
+    return {"extracted": n_ok, "failed": n_failed}
+
+
+def run_extraction(
+    input_path: str,
+    output_dir: str,
+    cfg: PipelineConfig = DEFAULT_CONFIG,
+) -> dict:
+    """Execute the pipeline end to end into ``output_dir`` (layout in
+    write_extraction) and return the summary counts.  For the resumable
+    sharded runner see ocr_ray.state.checkpoint.CheckpointedRunner.
+    """
     import shutil
 
     ds = read_documents(input_path)
-    if (cfg.pipeline_mode in ("exploded", "hybrid")
-            and cfg.reassembly_buckets is None):
+    if cfg.pipeline_mode == "exploded" and cfg.reassembly_buckets is None:
         # size reassembly buckets from the data: count() on an
         # untransformed file read is parquet-metadata-only (no scan)
         from dataclasses import replace as _replace
@@ -236,30 +246,10 @@ def run_extraction(
         cfg = _replace(cfg, reassembly_buckets=int(max(
             max(16, total * 4),
             -(-est_docs // cfg.reassembly_docs_per_bucket))))
-    result = build_extracted(ds, cfg)
     # fresh-run semantics: write_parquet APPENDS into existing dirs, so a
     # rerun would silently duplicate docs; resumability lives in the
     # CheckpointedRunner (atomic shard publish), not here
     shutil.rmtree(f"{output_dir}/extracted", ignore_errors=True)
     shutil.rmtree(f"{output_dir}/failed", ignore_errors=True)
-    os.makedirs(f"{output_dir}/extracted", exist_ok=True)
-    result.write_parquet(f"{output_dir}/extracted")
-
-    if cfg.pipeline_mode == "nested":
-        n_failed = derive_failed_sidecar(f"{output_dir}/extracted",
-                                         f"{output_dir}/failed")
-    else:
-        os.makedirs(f"{output_dir}/failed", exist_ok=True)
-        build_failed(ds, cfg).write_parquet(f"{output_dir}/failed")
-        frag = pads.dataset(f"{output_dir}/failed")
-        n_failed = frag.count_rows() if frag.files else 0
-
-    frag = pads.dataset(f"{output_dir}/extracted")
-    if frag.files:  # empty when every doc was rejected (e.g. a bucket of
-        # only over-cap monsters) — write_parquet emits no files then
-        reasons = frag.to_table(columns=["reject_reason"])
-        n_ok = reasons.filter(
-            pc.equal(reasons["reject_reason"], "")).num_rows
-    else:
-        n_ok = 0
-    return {"extracted": n_ok, "failed": n_failed, "output_dir": output_dir}
+    return {**write_extraction(ds, output_dir, cfg),
+            "output_dir": output_dir}

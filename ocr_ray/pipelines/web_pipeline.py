@@ -76,6 +76,9 @@ def curate_crawl(warc_path: str, out_dir: str, *,
     pages = pages.materialize()
     n_pages = pages.count()
     manifest["pages_in"] = int(n_pages)
+    # a previous run's pages would contradict this run's manifest —
+    # clear them before any return path writes it
+    shutil.rmtree(f"{out_dir}/pages", ignore_errors=True)
     if n_pages == 0:
         manifest.update(url_dups_removed=0, kept_pages=0,
                         encoding_repaired=0)
@@ -138,7 +141,6 @@ def curate_crawl(warc_path: str, out_dir: str, *,
         manifest["encoding_repaired"] = int(
             curated.filter(expr="enc_fix_rounds > 0").count())
 
-    shutil.rmtree(f"{out_dir}/pages", ignore_errors=True)
     os.makedirs(f"{out_dir}/pages", exist_ok=True)
     if manifest["kept_pages"] > 0:
         curated.write_parquet(f"{out_dir}/pages")

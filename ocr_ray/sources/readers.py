@@ -138,8 +138,7 @@ def adapt_flat_documents(sf_dir: str):
 def read_csv_documents(path: str):
     """CSV drop-folder/file with ``doc_id,text`` columns -> Dataset on
     DOCUMENTS_SCHEMA (one text span per row, offset 0) — flat-corpus
-    ingestion parity with ``read_jsonl_documents`` (which carries full
-    span structure; CSV cannot).  ``ray.data.read_csv`` streams
+    ingestion.  ``ray.data.read_csv`` streams
     per-file, so a drop folder ingests in parallel with backpressure,
     and the span pipeline consumes the result unchanged."""
     import ray.data as rd

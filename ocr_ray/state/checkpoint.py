@@ -105,43 +105,21 @@ class CheckpointedRunner:
 
     # -- execution -----------------------------------------------------
     def run_shard(self, k: int) -> dict:
-        from ..pipelines.extract_pipeline import build_extracted, build_failed
+        import pyarrow.dataset as pads
         import ray.data as rd
+
+        from ..pipelines.extract_pipeline import write_extraction
 
         started = time.time()
         tmp = os.path.join(self.output_dir, f".tmp-shard-{k:05d}")
         shutil.rmtree(tmp, ignore_errors=True)
 
-        ds = rd.read_parquet(self.shards[k])
-        # an empty dataset writes no files at all — pre-create the dirs so
-        # all-valid / all-invalid shards still publish a (possibly empty)
-        # partition and the read-back below never 404s
-        os.makedirs(f"{tmp}/extracted", exist_ok=True)
-        os.makedirs(f"{tmp}/failed", exist_ok=True)
-        build_extracted(ds, self.cfg).write_parquet(f"{tmp}/extracted")
-
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
-        from ..pipelines.extract_pipeline import build_failed, derive_failed_sidecar
-        from ..schema import FAILED_SCHEMA
-
-        if self.cfg.pipeline_mode == "nested":
-            derive_failed_sidecar(f"{tmp}/extracted", f"{tmp}/failed")
-        else:
-            build_failed(ds, self.cfg).write_parquet(f"{tmp}/failed")
-
-        failed_frag = pads.dataset(f"{tmp}/failed")
-        failed_tbl = (failed_frag.to_table() if failed_frag.files
-                      else pa.Table.from_pylist([], schema=FAILED_SCHEMA))
-        import pyarrow.compute as pc
-        ext_frag = pads.dataset(f"{tmp}/extracted")
-        if ext_frag.files:
-            reasons = ext_frag.to_table(columns=["reject_reason"])
-            n_docs = reasons.filter(
-                pc.equal(reasons["reject_reason"], "")).num_rows
-        else:  # all docs rejected (exploded mode) or empty shard
-            n_docs = 0
+        counts = write_extraction(rd.read_parquet(self.shards[k]), tmp,
+                                  self.cfg)
+        n_docs, n_failed = counts["extracted"], counts["failed"]
+        failed_reasons = sorted(set(
+            pads.dataset(f"{tmp}/failed").to_table(columns=["reason"])
+            .column("reason").to_pylist())) if n_failed else []
         metrics = (self._aggregate_metrics(f"{tmp}/extracted")
                    if n_docs else {})
 
@@ -162,9 +140,8 @@ class CheckpointedRunner:
             # resume fingerprint
             "file_stats": {f: _file_stat(f) for f in self.shards[k]},
             "doc_count": n_docs,
-            "failed_count": failed_tbl.num_rows,
-            "failed_reasons": sorted(
-                {r["reason"] for r in failed_tbl.to_pylist()}),
+            "failed_count": n_failed,
+            "failed_reasons": failed_reasons,
             "metrics": metrics,
             "started_at": started,
             "committed_at": time.time(),

@@ -35,7 +35,7 @@ def main():
     ap.add_argument("--resume", action="store_true", default=True)
     ap.add_argument("--no-resume", dest="resume", action="store_false")
     ap.add_argument("--mode",
-                    choices=["nested", "exploded", "hybrid", "auto"],
+                    choices=["nested", "exploded", "auto"],
                     default="nested",
                     help="auto = one-pass size bucketing, then a nested "
                          "job over small docs and an exploded job over "

@@ -87,7 +87,7 @@ def main():
     ap.add_argument("--shards", type=int, default=4096,
                     help=">= 4x total cluster CPUs")
     ap.add_argument("--mode", default="nested",
-                    choices=["nested", "exploded", "hybrid", "auto"])
+                    choices=["nested", "exploded", "auto"])
     ap.add_argument("--max-spans", type=int, default=4000)
     ap.add_argument("--no-resume", dest="resume", action="store_false")
     ap.add_argument("--address", default=None,

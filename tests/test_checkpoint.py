@@ -119,17 +119,6 @@ class TestResumeExplodedMode:
         assert_span_equal(actual, golden_result["extracted"])
 
 
-class TestResumeHybridMode:
-    def test_runner_with_hybrid_cfg(self, ray_session, small_corpus_path,
-                                    golden_result, tmp_path_factory):
-        from ocr_ray.config import PipelineConfig
-
-        out = str(tmp_path_factory.mktemp("ckpt_hybrid"))
-        cfg = PipelineConfig(pipeline_mode="hybrid", explode_threshold=64)
-        CheckpointedRunner(small_corpus_path, out, cfg=cfg, n_shards=2).run()
-        assert_span_equal(_ok_spans(out), golden_result["extracted"])
-
-
 class TestIncrementalAppend:
     def test_appended_files_become_new_shards(
             self, ray_session, small_corpus, golden_result,

@@ -1,0 +1,40 @@
+"""PipelineConfig validation and the job scripts' --mode choices —
+Ray-free: a bad mode must fail before any job touches its output."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ocr_ray.config import PipelineConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("mode", ["auto", "union", "Nested", ""])
+def test_unknown_mode_rejected_at_construction(mode):
+    # "auto" is a run_job.py mode (bucketize, then one job per bucket),
+    # never a single job's physical strategy
+    with pytest.raises(ValueError, match="pipeline_mode"):
+        PipelineConfig(pipeline_mode=mode)
+
+
+def test_explode_threshold_still_checked():
+    with pytest.raises(ValueError, match="explode_threshold"):
+        PipelineConfig(max_spans_per_doc=10, explode_threshold=11)
+
+
+@pytest.mark.parametrize("script", ["run_job.py", "submit_job.py"])
+def test_script_mode_choices(script):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script),
+             "--input", "in", "--output", "out", *args],
+            capture_output=True, text=True, timeout=60)
+
+    usage = run("--help")
+    assert usage.returncode == 0
+    assert "--mode {nested,exploded,auto}" in usage.stdout
+    bad = run("--mode", "union")
+    assert bad.returncode == 2 and "invalid choice" in bad.stderr

@@ -213,7 +213,7 @@ class TestSpanSoftTimeout:
 
 
 class TestHtmlScannerParity:
-    """The fast regex scanner vs the stdlib-HTMLParser reference on the
+    """The fused regex scanner vs the stdlib-HTMLParser reference on the
     hand-picked malformed/edge battery (fixture-corpus parity and
     structured fuzz live in test_property.py)."""
 
@@ -237,10 +237,10 @@ class TestHtmlScannerParity:
 
     def test_battery_parity(self):
         from ocr_ray.kernels.htmlx import html_to_blocks
+        from tests._reference_html import stdlib_blocks
 
         for t in self.BATTERY:
-            assert (html_to_blocks(t, _engine="fast")
-                    == html_to_blocks(t, _engine="stdlib")), t
+            assert html_to_blocks(t) == stdlib_blocks(t), t
 
     def test_documented_divergence_unterminated_comment(self):
         # after an EOF-unterminated comment the scanner takes the HTML5
@@ -248,4 +248,4 @@ class TestHtmlScannerParity:
         from ocr_ray.kernels.htmlx import html_to_blocks
 
         t = "x<!-- a <p>b</p>"
-        assert html_to_blocks(t, _engine="fast") == [t]
+        assert html_to_blocks(t) == [t]

@@ -393,3 +393,41 @@ class TestJSONLExport:
         first = json.loads(open(os.path.join(d, f)).readline())
         assert set(first) == {"pack_id", "text"}
         assert m2["columns"] == ["pack_id", "text"]
+
+    def test_reexport_with_fewer_shards_drops_stale_files(self, ray_session,
+                                                          tmp_path):
+        """Re-exporting fewer shards into the same directory must leave
+        exactly the new manifest's shard files for a glob-based loader."""
+        import glob
+        import os
+
+        import pyarrow as pa
+        import ray.data as rd
+
+        from ocr_ray.functions.packing import (export_packs_jsonl,
+                                               materialize_packs,
+                                               pack_chunks)
+
+        chunks = rd.from_arrow(pa.table({
+            "doc_id": pa.array(range(12), pa.int64()),
+            "chunk_id": pa.array([0] * 12, pa.int64()),
+            "n_tokens": pa.array([5] * 12, pa.int64()),
+            "chunk_md5": pa.array([f"m{i}" for i in range(12)]),
+            "text": pa.array(["a b c d e"] * 12),
+        }))
+        d = str(tmp_path / "out")
+
+        def exported(n_shards):
+            rows = materialize_packs(
+                pack_chunks(chunks, budget_tokens=16, n_shards=n_shards))
+            m = export_packs_jsonl(rows, d)
+            on_disk = sorted(os.path.basename(f) for f in
+                             glob.glob(os.path.join(d, "shard-*.jsonl")))
+            return m, on_disk
+
+        m4, files4 = exported(4)
+        m1, files1 = exported(1)
+        assert len(m4["shards"]) > len(m1["shards"]) == 1
+        for m, files in ((m4, files4), (m1, files1)):
+            assert files == [f"shard-{k:05d}.jsonl"
+                             for k in sorted(m["shards"])]

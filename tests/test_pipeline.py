@@ -57,8 +57,9 @@ class TestPipelineEquality:
 
 
 class TestPhysicalModeEquality:
-    """All three physical strategies must produce identical span
-    sequences: proves order lives in the data, not the execution."""
+    """Every physical strategy must produce identical span sequences:
+    proves order lives in the data, not the execution (nested is
+    covered above, the bucketed split in test_bucketize.py)."""
 
     def _run(self, corpus_path, cfg, golden):
         import pyarrow as pa
@@ -75,12 +76,6 @@ class TestPhysicalModeEquality:
                                         golden_result):
         self._run(small_corpus_path,
                   PipelineConfig(pipeline_mode="exploded", span_batch_size=64),
-                  golden_result)
-
-    def test_hybrid_equals_golden(self, ray_session, small_corpus_path,
-                                  golden_result):
-        self._run(small_corpus_path,
-                  PipelineConfig(pipeline_mode="hybrid", explode_threshold=64),
                   golden_result)
 
 

@@ -82,6 +82,23 @@ class TestCurateCrawl:
         m = curate_crawl(str(d), str(tmp_path / "out3"))
         assert m["pages_in"] == 0 and m["kept_pages"] == 0
 
+    def test_empty_rerun_clears_previous_pages(self, ray_session,
+                                               crawl_dir, tmp_path):
+        """A zero-page run into a used out_dir must not leave the last
+        run's pages/ parquet behind its kept_pages=0 manifest."""
+        from ocr_ray.pipelines.web_pipeline import curate_crawl
+        from ocr_ray.sources.warc import write_warc
+
+        out = str(tmp_path / "out")
+        assert curate_crawl(crawl_dir, out, min_chars=100)["kept_pages"] > 0
+        d = tmp_path / "empty"
+        d.mkdir()
+        write_warc([], str(d / "e.warc"))
+        m = curate_crawl(str(d), out)
+        assert m["kept_pages"] == 0
+        assert json.load(open(f"{out}/manifest.json"))["kept_pages"] == 0
+        assert not list((tmp_path / "out").rglob("*.parquet"))
+
 
 class TestUriLessPages:
     def test_uri_less_pages_are_not_dedup_collapsed(self, ray_session,
