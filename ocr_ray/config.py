@@ -7,7 +7,7 @@ dataclass that is cheap to ship to every Ray task / actor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,17 @@ class PipelineConfig:
     # 128 best (12.5s vs 13.7 at 64, 16.4 at 256 — tail skew from mega
     # docs dominates above that)
     extract_batch_size: int = 128
-    span_batch_size: int = 256            # spans per actor call (exploded path)
-    # actor pool size: an int pins it; the (min, max) default means
-    # "size from the cluster" — _pool_and_blocks in
-    # pipelines/extract_pipeline.py pre-starts most CPUs as actors but
-    # always leaves some for the task operators (read/validate/write),
-    # which would otherwise starve and deadlock the pipeline.
-    extract_concurrency: int | tuple = (1, 128)
-    ocr_conf_bins: int = 10               # confidence histogram 0..100 step 10
+    # spans per call in the in-process trace replay (perfbench/trace.py);
+    # the exploded pipeline hands ExtractSpans whole blocks
+    # (batch_size=None), so this does not affect the pipeline
+    span_batch_size: int = 256
     # exploded-path reassembly bucket count (None = cluster-sized
     # default, ~4x CPUs).  A bucket's group holds ~n_docs/buckets docs'
     # span rows, so for LARGE full-corpus exploded runs this must scale
     # with the data to bound per-task memory: run_extraction sizes it
-    # automatically from the input's (metadata-cheap) row count at
-    # reassembly_docs_per_bucket docs per bucket; other entry points can
-    # set it explicitly.
+    # automatically from the input's (metadata-cheap) row count; other
+    # entry points can set it explicitly.
     reassembly_buckets: int | None = None
-    reassembly_docs_per_bucket: int = 256
-
-    # --- output layout
-    shard_partitions: int = 16            # checkpointable output partitions
 
     def __post_init__(self):
         if self.pipeline_mode not in ("nested", "exploded"):

@@ -36,8 +36,3 @@ def round_half_up(arr, ndigits: int):
 def np_round_half_up(a: np.ndarray, ndigits: int) -> np.ndarray:
     s = float(10 ** ndigits)
     return np.floor(a * s + 0.5) / s
-
-
-def sql_round_half_up(expr: str, ndigits: int) -> str:
-    s = float(10 ** ndigits)
-    return f"floor(({expr}) * {s} + 0.5) / {s}"

@@ -27,7 +27,6 @@ import math
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from .textops import _ASCII_WS, _ASCII_WS_RE, _SQL_WS
@@ -79,7 +78,6 @@ def chunk_batch_with_text(batch: pa.Table, chunk_tokens: int = 128,
         "chunk_md5": pa.array(rows["chunk_md5"], pa.string()),
         "text": pa.array(rows["text"], pa.string()),
     })
-
 
 
 def chunk_documents(sf_dir: str, chunk_tokens: int = 128,
@@ -509,9 +507,6 @@ SELECT tf.doc_id, tf.keyword,
 FROM tf JOIN df ON tf.keyword = df.keyword, stats
 WHERE tf.tf > 0
 """
-
-
-BM25_KEYWORD_SQL = None  # built lazily: _bm25_sql()
 
 
 # -------------------------------------------------- stratified sampling

@@ -544,23 +544,6 @@ def ngram_jaccard_pairs_ds(sf_dir: str, threshold: float = 0.8):
         ds.map_batches(add_hash, batch_format="pyarrow"))
 
 
-def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8) -> pa.Table:
-    """Driver-gate face of ``ngram_jaccard_pairs_ds``: materializes the
-    (small at test scale) pair list as an Arrow table so an EMPTY result
-    still carries its schema through the driver's pandas conversion
-    (an empty Ray Dataset loses column names in to_pandas).  Pipelines
-    must compose the ``_ds`` variant instead."""
-    out = ngram_jaccard_pairs_ds(sf_dir, threshold)
-    return pa.Table.from_pylist(out.take_all(), schema=_PAIR_SCHEMA)
-
-
-NGRAM_JACCARD_SQL = """
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, 1.0 AS jaccard
-FROM documents a JOIN documents b
-  ON md5(a.text) = md5(b.text) AND a.doc_id < b.doc_id
-"""
-
-
 # ------------------------------------------------- connected components
 
 def dedup_clusters(pairs_ds, max_rounds: int = 20):
@@ -793,28 +776,6 @@ SELECT doc_id FROM (
   SELECT doc_id, min(doc_id) OVER (PARTITION BY md5(text)) AS keeper
   FROM documents
 ) WHERE doc_id = keeper
-"""
-
-
-def exact_dup_clusters(sf_dir: str) -> pa.Table:
-    """Cluster assignments for exact-duplicate docs (cluster = min doc_id
-    of each md5-equal group with >1 member) — the SQL-checkable face of
-    dedup_clusters, fed by the exact-dup pair Dataset.  Driver-gate
-    materialization only (sorted, schema pinned for the empty case);
-    pipelines compose dedup_clusters/cluster_losers as Datasets."""
-    clusters = dedup_clusters(ngram_jaccard_pairs_ds(sf_dir))
-    schema = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
-    rows = sorted(clusters.take_all(), key=lambda r: r["doc_id"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-EXACT_DUP_CLUSTERS_SQL = """
-SELECT doc_id, cluster_id FROM (
-  SELECT doc_id,
-         min(doc_id) OVER (PARTITION BY md5(text)) AS cluster_id,
-         count(*) OVER (PARTITION BY md5(text)) AS cnt
-  FROM documents
-) WHERE cnt > 1
 """
 
 

@@ -31,44 +31,6 @@ def _val_milli(arr) -> pa.Array:
                                    pa.scalar(0.5))), pa.int64())
 
 
-def events_by_type(sf_dir: str):
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": batch["event_type"],
-                      "v": _val_milli(batch["value"])})
-        return _gb(t, ["event_type"], [("v", "sum"), ("v", "count_all")],
-                   ["v", "n"])
-
-    agg = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "event_type").aggregate(Sum("v", alias_name="v"),
-                                Sum("n", alias_name="n_events"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "n_events": batch["n_events"],
-            "sum_value": round_half_up(pc.divide(pc.cast(
-                batch["v"], pa.float64()), pa.scalar(1000.0)), 3),
-            "avg_value": round_half_up(pc.divide(pc.divide(pc.cast(
-                batch["v"], pa.float64()), pa.scalar(1000.0)),
-                pc.cast(batch["n_events"], pa.float64())), 6),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
-
-
-EVENTS_BY_TYPE_SQL = """
-SELECT event_type, count(*) AS n_events,
-       floor((sum(CAST(floor(value * 1000.0 + 0.5) AS BIGINT)) / 1000.0) * 1000.0 + 0.5) / 1000.0 AS sum_value,
-       floor((sum(CAST(floor(value * 1000.0 + 0.5) AS BIGINT)) / 1000.0
-             / CAST(count(*) AS DOUBLE)) * 1000000.0 + 0.5) / 1000000.0 AS avg_value
-FROM events GROUP BY event_type
-"""
-
-
 def events_daily(sf_dir: str):
     """Tumbling daily window = groupby the truncated timestamp (emitted as
     a string so both engines hash the same value)."""
@@ -93,13 +55,6 @@ def events_daily(sf_dir: str):
         })
 
     return agg.map_batches(finalize, batch_format="pyarrow")
-
-
-EVENTS_DAILY_SQL = """
-SELECT strftime(ts, '%Y-%m-%d') AS day, count(*) AS n_events,
-       floor((sum(CAST(floor(value * 1000.0 + 0.5) AS BIGINT)) / 1000.0) * 1000.0 + 0.5) / 1000.0 AS sum_value
-FROM events GROUP BY 1
-"""
 
 
 def events_daily_dense(sf_dir: str):
@@ -1827,7 +1782,7 @@ def user_last_click_value(sf_dir: str):
     semantics: PARTITION BY groups NULLs together) via a sentinel key;
     the driver corpus has none — the planted pytest covers that leg.
     Milli-unit quantization is the events-family cents rule
-    (EVENTS_BY_TYPE_SQL) so the value is integer-exact on both
+    (floor(value * 1000 + 0.5)) so the value is integer-exact on both
     engines.
     """
     from .window import keyed_fill

@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._num import round_half_up, np_round_half_up
+from ._num import round_half_up
 import pyarrow.parquet as pq
 
 
@@ -413,19 +413,6 @@ GROUP BY c_mktsegment
 """
 
 
-def topk_orders_by_price(sf_dir: str, k: int = 15):
-    """Plain distributed sort + limit."""
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderstatus"])
-    return ds.sort(["o_totalprice", "o_orderkey"],
-                   descending=[True, False]).limit(k)
-
-
-TOPK_ORDERS_SQL = """
-SELECT o_orderkey, o_totalprice, o_orderstatus
-FROM orders ORDER BY o_totalprice DESC, o_orderkey ASC LIMIT 15
-"""
-
-
 def order_priority_counts(sf_dir: str):
     from ray.data.aggregate import Count
 
@@ -493,41 +480,6 @@ SELECT o_orderstatus, count(*) AS n FROM orders GROUP BY o_orderstatus
 
 # ------------------------------------------------ additional coverage
 
-def orders_by_year(sf_dir: str):
-    """Tumbling yearly rollup over order dates."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        years = pc.year(batch["o_orderdate"])
-        t = pa.table({"order_year": pc.cast(years, pa.int64()),
-                      "price_cents": _cents(batch["o_totalprice"])})
-        return _gb(t, ["order_year"],
-                   [("price_cents", "sum"), ("price_cents", "count_all")],
-                   ["price_cents", "n"])
-
-    agg = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "order_year").aggregate(Sum("price_cents", alias_name="pc_"),
-                                Sum("n", alias_name="n_orders"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "order_year": batch["order_year"],
-            "n_orders": batch["n_orders"],
-            "total_price": round_half_up(pc.divide(pc.cast(
-                batch["pc_"], pa.float64()), pa.scalar(100.0)), 2),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
-
-
-ORDERS_BY_YEAR_SQL = """
-SELECT CAST(year(o_orderdate) AS BIGINT) AS order_year, count(*) AS n_orders,
-       floor((sum(CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT)) / 100.0) * 100.0 + 0.5) / 100.0 AS total_price
-FROM orders GROUP BY 1
-"""
-
 
 def q4_high_quantity_orders(sf_dir: str, qty: float = 45.0):
     """Semi-join shape (TPC-H Q4 flavour): count orders having at least
@@ -555,71 +507,6 @@ FROM orders o
 WHERE EXISTS (SELECT 1 FROM lineitem l
               WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity > 45)
 GROUP BY o_orderpriority
-"""
-
-
-def nation_customer_balance(sf_dir: str):
-    """Customer rollup joined to nation names (broadcast dim)."""
-    from ray.data.aggregate import Sum
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
-    name_arr = _dense_lookup(nat["n_nationkey"].to_numpy(),
-                             nat["n_name"].to_pylist())
-
-    ds = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
-
-    def partial(batch: pa.Table, name_arr=name_arr) -> pa.Table:
-        names = name_arr[batch["c_nationkey"].to_numpy()]
-        t = pa.table({"n_name": pa.array(names, pa.string()),
-                      "bal": _cents(batch["c_acctbal"])})
-        return _gb(t, ["n_name"], [("bal", "sum"), ("bal", "count_all")],
-                   ["bal", "n"])
-
-    agg = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "n_name").aggregate(Sum("bal", alias_name="bal"),
-                            Sum("n", alias_name="n_customers"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": batch["n_name"],
-            "n_customers": batch["n_customers"],
-            "total_acctbal": round_half_up(pc.divide(pc.cast(
-                batch["bal"], pa.float64()), pa.scalar(100.0)), 2),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
-
-
-NATION_BALANCE_SQL = """
-SELECT n.n_name, count(*) AS n_customers,
-       floor((sum(CAST(floor(c.c_acctbal * 100.0 + 0.5) AS BIGINT)) / 100.0) * 100.0 + 0.5) / 100.0 AS total_acctbal
-FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey
-GROUP BY n.n_name
-"""
-
-
-def brand_size_matrix(sf_dir: str):
-    """Two-key groupby over part (brand x size bucket)."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "part", ["p_brand", "p_size"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        bucket = pc.cast(pc.floor(pc.divide(pc.cast(
-            batch["p_size"], pa.float64()), pa.scalar(10.0))), pa.int64())
-        t = pa.table({"p_brand": batch["p_brand"], "size_bucket": bucket})
-        return _gb(t, ["p_brand", "size_bucket"],
-                   [("p_brand", "count_all")], ["n"])
-
-    return ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["p_brand", "size_bucket"]).aggregate(Sum("n", alias_name="n_parts"))
-
-
-BRAND_SIZE_SQL = """
-SELECT p_brand, CAST(floor(p_size / 10.0) AS BIGINT) AS size_bucket,
-       count(*) AS n_parts
-FROM part GROUP BY 1, 2
 """
 
 

@@ -261,7 +261,7 @@ def extract_doc_cols(
         "num_ents": num_ents,
         "quality_mean": round(sum(qualities) / len(qualities), 4) if qualities else -1.0,
         "retried_spans": retries,
-        "conf_hist": conf_histogram(all_confs, cfg.ocr_conf_bins),
+        "conf_hist": conf_histogram(all_confs),
     }
     return {"ok": True, "doc_id": doc_id,
             "kinds": [kinds[i] for i in order],

@@ -32,6 +32,12 @@ from ..stages.extract_stage import (
 from ..stages.validate import validate_batch
 
 
+def _cluster_cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
 def _pool_and_blocks(cfg: PipelineConfig) -> tuple[tuple, int]:
     """Size the actor pools and block granularity from the cluster.
 
@@ -43,22 +49,22 @@ def _pool_and_blocks(cfg: PipelineConfig) -> tuple[tuple, int]:
     Blocks are split to ~4x CPUs before the heavy stages so every actor
     has work from the first scheduling tick.
     """
-    import ray
-
-    total = int(ray.cluster_resources().get("CPU", 8))
-    if isinstance(cfg.extract_concurrency, int):
-        pool = cfg.extract_concurrency
-    else:
-        # floor: most of the cluster, but always leave >=2 CPUs for the
-        # task operators (read/write) — on tiny clusters total//2-2
-        # degenerates to 1 actor and the job runs serial (measured 2x
-        # loss at num_cpus=4)
-        floor = max(1, min(total - 2, max(2, total * 2 // 3)))
-        pool = (floor, max(total, 2))
-    return pool, max(16, total * 4)
+    total = _cluster_cpus()
+    # floor: most of the cluster, but always leave >=2 CPUs for the task
+    # operators (read/write) — on tiny clusters total//2-2 degenerates
+    # to 1 actor and the job runs serial (measured 2x loss at num_cpus=4)
+    floor = max(1, min(total - 2, max(2, total * 2 // 3)))
+    return (floor, max(total, 2)), max(16, total * 4)
 
 
-def _nested_branch(ok, cfg: PipelineConfig, pool):
+def _actor_cpus() -> int:
+    """CPUs each extract actor requests: one, except on a cluster with a
+    single CPU, where a pre-started actor holding it would leave none
+    for the read tasks that feed it and the job would never start."""
+    return 1 if _cluster_cpus() >= 2 else 0
+
+
+def _nested_branch(ok, cfg: PipelineConfig, pool, actor_cpus):
     # no repartition barrier: read-fragment granularity + batch_size
     # slicing feed the pool evenly (measured equal to an explicit
     # repartition at 12k docs, minus the barrier)
@@ -68,12 +74,12 @@ def _nested_branch(ok, cfg: PipelineConfig, pool):
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
         concurrency=pool,
-        num_cpus=1,
+        num_cpus=actor_cpus,
         zero_copy_batch=True,  # fns never mutate input; ~13% at 32 CPUs
     )
 
 
-def _exploded_branch(ok, cfg: PipelineConfig, pool, nblocks):
+def _exploded_branch(ok, cfg: PipelineConfig, pool, nblocks, actor_cpus):
     return (
         ok.map_batches(explode_spans, batch_format="pyarrow",
                        zero_copy_batch=True)
@@ -85,7 +91,7 @@ def _exploded_branch(ok, cfg: PipelineConfig, pool, nblocks):
             batch_format="pyarrow",
             batch_size=None,
             concurrency=pool,
-            num_cpus=1,
+            num_cpus=actor_cpus,
             zero_copy_batch=True,
         )
         # bucketized reassembly: ONE group per hash bucket (not per doc)
@@ -118,18 +124,19 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     lineage either way.
     """
     pool, nblocks = _pool_and_blocks(cfg)
+    actor_cpus = _actor_cpus()
 
     if cfg.pipeline_mode == "nested":
         # single lineage, validation fused INSIDE the extract actor
         # (ExtractDocs.__call__): read -> actor, no intermediate
         # materialization; rejected rows flow through as zero-metric rows
         # with reject_reason set — no second pass
-        return _nested_branch(ds, cfg, pool)
+        return _nested_branch(ds, cfg, pool, actor_cpus)
 
     validated = ds.map_batches(
         validate_batch, batch_format="pyarrow", fn_kwargs={"cfg": cfg})
     ok = validated.filter(expr="reject_reason == ''")
-    return _exploded_branch(ok, cfg, pool, nblocks)
+    return _exploded_branch(ok, cfg, pool, nblocks, actor_cpus)
 
 
 def build_failed(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -222,6 +229,11 @@ def write_extraction(ds, output_dir: str,
     return {"extracted": n_ok, "failed": n_failed}
 
 
+# docs per reassembly bucket when run_extraction sizes the exploded
+# path's bucket count from the input's row count
+REASSEMBLY_DOCS_PER_BUCKET = 256
+
+
 def run_extraction(
     input_path: str,
     output_dir: str,
@@ -239,13 +251,10 @@ def run_extraction(
         # untransformed file read is parquet-metadata-only (no scan)
         from dataclasses import replace as _replace
 
-        import ray
-
-        total = int(ray.cluster_resources().get("CPU", 8))
         est_docs = ds.count()
         cfg = _replace(cfg, reassembly_buckets=int(max(
-            max(16, total * 4),
-            -(-est_docs // cfg.reassembly_docs_per_bucket))))
+            _pool_and_blocks(cfg)[1],
+            -(-est_docs // REASSEMBLY_DOCS_PER_BUCKET))))
     # fresh-run semantics: write_parquet APPENDS into existing dirs, so a
     # rerun would silently duplicate docs; resumability lives in the
     # CheckpointedRunner (atomic shard publish), not here

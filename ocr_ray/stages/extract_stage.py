@@ -347,7 +347,7 @@ def reassemble_bucket(group: pa.Table,
         media_spans.append(len(qs))
         qmeans.append(round(sum(qs) / len(qs), 4) if qs else -1.0)
         retries.append(rt)
-        hists.append(conf_histogram(cs, cfg.ocr_conf_bins))
+        hists.append(conf_histogram(cs))
         procs.append(round(tms, 3))
 
     ndocs = len(starts)
@@ -431,7 +431,7 @@ def reassemble_group(group: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG) -> p
         "num_ents": agg["num_ents"],
         "quality_mean": round(sum(qualities) / len(qualities), 4) if qualities else -1.0,
         "retried_spans": retries,
-        "conf_hist": conf_histogram(confs, cfg.ocr_conf_bins),
+        "conf_hist": conf_histogram(confs),
     }
     return pa.Table.from_pylist(
         [_result_row(doc_id, spans, metrics, "", proc_ms=total_ms)],

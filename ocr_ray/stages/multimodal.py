@@ -147,14 +147,6 @@ def media_features(media_ds, *, codec: str = "fake", batch_size: int = 32,
     )
 
 
-FRAME_SCHEMA = pa.schema([
-    ("media_ref", pa.string()),
-    ("frame_idx", pa.int32()),
-    ("frame_ts_ms", pa.int32()),
-    ("frame", pa.binary()),
-])
-
-
 class FrameSampler:
     """Actor-pool flat-map stage: one media row -> one row per sampled
     frame (the video/audio analog of explode_spans).  Slicing happens on

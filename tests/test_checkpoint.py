@@ -112,7 +112,7 @@ class TestResumeExplodedMode:
         from ocr_ray.config import PipelineConfig
 
         out = str(tmp_path_factory.mktemp("ckpt_exploded"))
-        cfg = PipelineConfig(pipeline_mode="exploded", span_batch_size=64)
+        cfg = PipelineConfig(pipeline_mode="exploded")
         runner = CheckpointedRunner(small_corpus_path, out, cfg=cfg, n_shards=2)
         runner.run()
         actual = _ok_spans(out)

@@ -1,5 +1,6 @@
-"""PipelineConfig validation and the job scripts' --mode choices —
-Ray-free: a bad mode must fail before any job touches its output."""
+"""PipelineConfig validation, its field list and the job scripts' --mode
+choices — Ray-free: a bad mode must fail before any job touches its
+output."""
 
 import subprocess
 import sys
@@ -18,6 +19,16 @@ def test_unknown_mode_rejected_at_construction(mode):
     # never a single job's physical strategy
     with pytest.raises(ValueError, match="pipeline_mode"):
         PipelineConfig(pipeline_mode=mode)
+
+
+def test_fields_are_the_knobs_callers_set():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(PipelineConfig)] == [
+        "max_spans_per_doc", "min_line_length", "percent_max_numeric",
+        "percent_max_non_ascii", "min_quality", "span_soft_timeout_ms",
+        "pipeline_mode", "explode_threshold", "extract_batch_size",
+        "span_batch_size", "reassembly_buckets"]
 
 
 def test_explode_threshold_still_checked():

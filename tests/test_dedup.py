@@ -299,8 +299,8 @@ class TestMinhashInvariant:
         every md5-equal text pair has Jaccard 1.0 and identical minhash
         signatures, so LSH MUST surface it — on the driver corpus the
         minhash output restricted to exact-dup pairs equals the
-        ngram_jaccard_pairs (md5-bucket) oracle output's pair set up to
-        star-vs-all-pairs transitivity inside one duplicate group."""
+        md5-bucket oracle's pair set up to star-vs-all-pairs
+        transitivity inside one duplicate group."""
         import pyarrow.parquet as _pq
 
         from ocr_ray.functions.dedup import minhash_lsh_pairs
@@ -333,8 +333,7 @@ class TestNoDriverClusterTail:
         Dataset end to end — at 100 TB the dup population is billions
         of rows and must never funnel through the driver.  take_all is
         forbidden anywhere inside dedup_clusters / cluster_losers /
-        dedup_survivors (driver-gate wrappers like exact_dup_clusters
-        are exempt and not under the patch)."""
+        dedup_survivors."""
         import ray.data as rd
 
         from ocr_ray.functions.dedup import (

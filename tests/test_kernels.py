@@ -132,6 +132,20 @@ class TestOcrSim:
         assert estimate_quality(text) > 85.0
 
 
+class TestOcrDigest:
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 448, 1000])
+    def test_block_equals_stream_prefix(self, n):
+        """The OCR simulator's batched digest is the first n bytes of
+        the per-byte reference stream, across sha256 block edges."""
+        from itertools import islice
+
+        from ocr_ray.kernels.ocr_sim import _digest_block, _digest_stream
+
+        for seed in ("gt:m-a-0", "noise:7", ""):
+            assert _digest_block(seed, n) == \
+                bytes(islice(_digest_stream(seed), n))
+
+
 class TestQuality:
     def test_empty_text_vacuous_100(self):
         assert estimate_quality("") == 100.0

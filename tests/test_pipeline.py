@@ -75,7 +75,7 @@ class TestPhysicalModeEquality:
     def test_all_exploded_equals_golden(self, ray_session, small_corpus_path,
                                         golden_result):
         self._run(small_corpus_path,
-                  PipelineConfig(pipeline_mode="exploded", span_batch_size=64),
+                  PipelineConfig(pipeline_mode="exploded"),
                   golden_result)
 
 
