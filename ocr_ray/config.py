@@ -35,7 +35,7 @@ class PipelineConfig:
     # "nested"   (default) docs stay whole rows; right when per-doc work
     #            is bounded (max_spans_per_doc caps it, the MAX_NUM_PAGES
     #            analog) — zero shuffle.
-    # "exploded" EVERY doc -> span rows -> actor pool -> bucketed
+    # "exploded" EVERY doc -> span rows -> span extract -> bucketed
     #            reassembly; right when per-span work is heavy (real OCR
     #            at seconds/page) so one doc must spread across the
     #            cluster.
@@ -49,7 +49,7 @@ class PipelineConfig:
     explode_threshold: int = 1000
 
     # --- Ray execution knobs
-    # docs per actor call (nested path); swept 32/64/128/256 at 32 CPUs:
+    # docs per ExtractDocs call (nested path); swept 32/64/128/256 at 32 CPUs:
     # 128 best (12.5s vs 13.7 at 64, 16.4 at 256 — tail skew from mega
     # docs dominates above that)
     extract_batch_size: int = 128

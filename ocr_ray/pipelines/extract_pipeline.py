@@ -5,6 +5,14 @@
 
 Physical notes (SURVEY.md §4):
 
+* the extract stages run as Ray Data tasks, not actor pools: each is a
+  stateless callable instance (stages/extract_stage.py), so it runs on
+  Ray's pooled, already-warm workers, holds no CPU while idle and fuses
+  with its neighbours — ``MapBatches(ExtractDocs)->Write`` (nested) and
+  ``MapBatches(ExtractSpans)->MapBatches(add_reassembly_bucket)``
+  (exploded).  An actor pool would start fresh processes on every
+  Dataset execution (each checkpoint shard, each call) and would have to
+  be sized against the read tasks that feed it.
 * each job runs ONE lineage: ``pipeline_mode`` picks nested (docs stay
   whole rows) or exploded (every doc becomes span rows).  A corpus that
   mixes small docs with monsters is pre-bucketed by size and run as one
@@ -39,59 +47,42 @@ def _cluster_cpus() -> int:
 
 
 def _pool_and_blocks(cfg: PipelineConfig) -> tuple[tuple, int]:
-    """Size the actor pools and block granularity from the cluster.
+    """Return ``(pool, nblocks)`` sized from the cluster.
 
-    Measured on the 32-CPU bench: an autoscaling (1, N) pool ramps so
-    slowly that the exploded stage ran ~1-core (23 s for a 23-CPU-second
-    workload); pre-starting min = CPUs/2 - 2 actors cut it to 4.3 s.
-    The pool's floor leaves headroom for the task operators
-    (read/validate/write) — the starvation rule.
-    Blocks are split to ~4x CPUs before the heavy stages so every actor
-    has work from the first scheduling tick.
+    The pipeline reads only ``nblocks``: the exploded path splits its
+    span rows into ~4x CPUs blocks before ``ExtractSpans`` so every CPU
+    has work from the first scheduling tick, and run_extraction never
+    sizes the reassembly buckets below it.  ``pool`` is a (min, max)
+    actor-pool shape (about 2/3 of the CPUs, leaving >=2 for read and
+    write tasks) that only the benchmark's identity floor still uses.
     """
     total = _cluster_cpus()
-    # floor: most of the cluster, but always leave >=2 CPUs for the task
-    # operators (read/write) — on tiny clusters total//2-2 degenerates
-    # to 1 actor and the job runs serial (measured 2x loss at num_cpus=4)
     floor = max(1, min(total - 2, max(2, total * 2 // 3)))
     return (floor, max(total, 2)), max(16, total * 4)
 
 
-def _actor_cpus() -> int:
-    """CPUs each extract actor requests: one, except on a cluster with a
-    single CPU, where a pre-started actor holding it would leave none
-    for the read tasks that feed it and the job would never start."""
-    return 1 if _cluster_cpus() >= 2 else 0
-
-
-def _nested_branch(ok, cfg: PipelineConfig, pool, actor_cpus):
+def _nested_branch(ok, cfg: PipelineConfig):
     # no repartition barrier: read-fragment granularity + batch_size
-    # slicing feed the pool evenly (measured equal to an explicit
+    # slicing feed the tasks evenly (measured equal to an explicit
     # repartition at 12k docs, minus the barrier)
     return ok.map_batches(
-        ExtractDocs,
-        fn_constructor_kwargs={"cfg": cfg},
+        ExtractDocs(cfg),
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
-        concurrency=pool,
-        num_cpus=actor_cpus,
         zero_copy_batch=True,  # fns never mutate input; ~13% at 32 CPUs
     )
 
 
-def _exploded_branch(ok, cfg: PipelineConfig, pool, nblocks, actor_cpus):
+def _exploded_branch(ok, cfg: PipelineConfig, nblocks):
     return (
         ok.map_batches(explode_spans, batch_format="pyarrow",
                        zero_copy_batch=True)
         .repartition(nblocks)  # a monster doc arrives as ONE huge block;
                                # this spreads its spans across the cluster
         .map_batches(
-            ExtractSpans,
-            fn_constructor_kwargs={"cfg": cfg},
+            ExtractSpans(cfg),
             batch_format="pyarrow",
             batch_size=None,
-            concurrency=pool,
-            num_cpus=actor_cpus,
             zero_copy_batch=True,
         )
         # bucketized reassembly: ONE group per hash bucket (not per doc)
@@ -123,20 +114,17 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     Physical strategy per cfg.pipeline_mode (see config.py), one
     lineage either way.
     """
-    pool, nblocks = _pool_and_blocks(cfg)
-    actor_cpus = _actor_cpus()
-
     if cfg.pipeline_mode == "nested":
-        # single lineage, validation fused INSIDE the extract actor
-        # (ExtractDocs.__call__): read -> actor, no intermediate
+        # single lineage, validation fused INSIDE the extract stage
+        # (ExtractDocs.__call__): read -> extract, no intermediate
         # materialization; rejected rows flow through as zero-metric rows
         # with reject_reason set — no second pass
-        return _nested_branch(ds, cfg, pool, actor_cpus)
+        return _nested_branch(ds, cfg)
 
     validated = ds.map_batches(
         validate_batch, batch_format="pyarrow", fn_kwargs={"cfg": cfg})
     ok = validated.filter(expr="reject_reason == ''")
-    return _exploded_branch(ok, cfg, pool, nblocks, actor_cpus)
+    return _exploded_branch(ok, cfg, _pool_and_blocks(cfg)[1])
 
 
 def build_failed(ds, cfg: PipelineConfig = DEFAULT_CONFIG):

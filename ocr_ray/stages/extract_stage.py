@@ -3,26 +3,31 @@
 Two physical strategies over the same kernel (SURVEY.md §7.4):
 
 * **nested path** (default, no shuffle): documents stay one-row-per-doc;
-  an actor pool maps ``extract_doc`` over batches of docs.  Order is free
-  because each row carries its whole span list.
-* **exploded path** (skew/mega docs): spans become rows, processed by an
-  actor pool one span at a time (so a 900-span mega doc parallelizes
-  across the cluster instead of stalling one actor — the Ray answer to
-  the reference's page-level ``--jobs`` fan-out, ocr_service.py:37-39),
-  then ONE ``groupby(doc_id)`` shuffle reassembles ordered span lists.
+  ``ExtractDocs`` maps ``extract_doc`` over batches of docs.  Order is
+  free because each row carries its whole span list.
+* **exploded path** (skew/mega docs): spans become rows, processed by
+  ``ExtractSpans`` one span at a time (so a 900-span mega doc
+  parallelizes across the cluster instead of stalling one worker — the
+  Ray answer to the reference's page-level ``--jobs`` fan-out,
+  ocr_service.py:37-39), then ONE ``groupby(doc_id)`` shuffle
+  reassembles ordered span lists.
 
 Both paths emit the same ``RESULT_SCHEMA``: (doc_id, spans) + flat per-doc
 metric columns, so their union is seamless and metrics reproduce the
 golden extractor's values bit for bit (summation happens in offset order).
 
-Stateful setup (compiled regexes, vocabulary set, keyword structures) is
-done once per actor in ``__init__`` — the reference's module-global
-singletons (doc_analysis.py:25-49, ocr_evaluation.py:13-38) become actor
-state.
+The stages are stateless callables: the pipeline hands Ray Data an
+instance, which runs as plain tasks on Ray's pooled (warm) workers and
+fuses with the task operators around it.  What the reference kept as
+module-global singletons (doc_analysis.py:25-49, ocr_evaluation.py:13-38)
+is per-process here too: ``vocabulary()`` is an ``lru_cache`` and the
+regexes compile at import, so a task rebuilds nothing per batch.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
 
 import pyarrow as pa
@@ -86,35 +91,41 @@ def _result_row(doc_id: str, spans: list, metrics: dict,
             "reject_reason": reason, "proc_ms": round(proc_ms, 3)}
 
 
+def _gc_paused(call):
+    """Run ``call`` with the cyclic GC off, restoring the caller's state.
+
+    The kernel churns millions of short-lived acyclic objects per batch;
+    the cyclic GC's scans serialize badly across 32 procs (measured +11%
+    at 32 CPUs with it off).  The pause lasts one batch, so the process
+    running the stage (a pooled Ray worker, a test, the trace replay)
+    collects cycles as usual between batches."""
+
+    @functools.wraps(call)
+    def paused(self, batch):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return call(self, batch)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 class ExtractDocs:
-    """Actor-pool callable for the nested path (whole docs per row).
+    """Batch callable for the nested path (whole docs per row).
 
     Rows the validate stage rejected (reject_reason != '') pass through
     as zero-metric rows — no extraction attempted, nothing dropped."""
 
     def __init__(self, cfg: PipelineConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        # warm the per-actor state once: vocabulary set + regex compilation
-        from ..kernels.wordpool import vocabulary
-        vocabulary()
-        # the kernel churns millions of short-lived acyclic objects per
-        # batch; the cyclic GC's scans serialize badly across 32 procs
-        # (measured +11% at 32 CPUs with it off).  Disable it and sweep
-        # manually every N batches as cycle insurance.
-        import gc
-        gc.disable()
-        self._calls = 0
 
-    def _maybe_collect(self):
-        self._calls += 1
-        if self._calls % 50 == 0:
-            import gc
-            gc.collect()
-
+    @_gc_paused
     def __call__(self, batch: pa.Table) -> pa.Table:
-        self._maybe_collect()
         if "reject_reason" not in batch.column_names:
-            # validation fused into the actor: one less task hop and one
+            # validation fused into the stage: one less task hop and one
             # less full materialization of the corpus in the object store
             from .validate import validate_batch
 
@@ -212,21 +223,13 @@ def explode_spans(batch: pa.Table) -> pa.Table:
 
 
 class ExtractSpans:
-    """Actor-pool callable for the exploded path (one span per row)."""
+    """Batch callable for the exploded path (one span per row)."""
 
     def __init__(self, cfg: PipelineConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        from ..kernels.wordpool import vocabulary
-        vocabulary()
-        import gc
-        gc.disable()  # see ExtractDocs.__init__
-        self._calls = 0
 
+    @_gc_paused
     def __call__(self, batch: pa.Table) -> pa.Table:
-        self._calls += 1
-        if self._calls % 50 == 0:
-            import gc
-            gc.collect()
         # columnar in / columnar out: the kernel is per-span Python by
         # nature, but the batch assembly need not be row dicts +
         # from_pylist type re-inference (mirrors the nested-path

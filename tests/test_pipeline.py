@@ -79,6 +79,47 @@ class TestPhysicalModeEquality:
                   golden_result)
 
 
+class TestPhysicalPlan:
+    """The extract stages run as Ray Data tasks fused with the operator
+    after them.  Ray Data fuses a map only into an unsized task pool, so
+    ``concurrency=`` on the stage (an actor pool, or a sized task pool)
+    leaves the stage standing alone in the plan."""
+
+    @staticmethod
+    def _operator_names(monkeypatch, corpus_path, out, cfg):
+        import ray.data as rd
+
+        written = []
+        write = rd.Dataset.write_parquet
+
+        def recording_write(ds, path, *args, **kwargs):
+            write(ds, path, *args, **kwargs)
+            written.append(ds)
+
+        monkeypatch.setattr(rd.Dataset, "write_parquet", recording_write)
+        run_extraction(corpus_path, out, cfg)
+        names = []
+        stack = [ds._write_ds._get_stats_summary() for ds in written]
+        while stack:
+            summary = stack.pop()
+            stack.extend(summary.parents)
+            names += [op.operator_name for op in summary.operators_stats]
+        return names
+
+    @pytest.mark.parametrize("mode, stage, fused", [
+        ("nested", "ExtractDocs", "MapBatches(ExtractDocs)->Write"),
+        ("exploded", "ExtractSpans",
+         "MapBatches(ExtractSpans)->MapBatches(add_reassembly_bucket)"),
+    ])
+    def test_extract_stage_is_a_fused_task(self, ray_session,
+                                           small_corpus_path, tmp_path,
+                                           monkeypatch, mode, stage, fused):
+        names = self._operator_names(monkeypatch, small_corpus_path,
+                                     str(tmp_path),
+                                     PipelineConfig(pipeline_mode=mode))
+        assert [n for n in names if stage in n] == [fused], names
+
+
 class TestValidateVectorized:
     def test_vector_scalar_agreement(self, small_corpus):
         """stages.validate must agree row-for-row with the scalar kernel."""
