@@ -57,12 +57,12 @@ class PipelineConfig:
     # the exploded pipeline hands ExtractSpans whole blocks
     # (batch_size=None), so this does not affect the pipeline
     span_batch_size: int = 256
-    # exploded-path reassembly bucket count (None = cluster-sized
-    # default, ~4x CPUs).  A bucket's group holds ~n_docs/buckets docs'
-    # span rows, so for LARGE full-corpus exploded runs this must scale
-    # with the data to bound per-task memory: run_extraction sizes it
-    # automatically from the input's (metadata-cheap) row count; other
-    # entry points can set it explicitly.
+    # exploded-path reassembly bucket count (None = sized from the data).
+    # A bucket's group holds ~n_docs/buckets docs' span rows, so for
+    # LARGE full-corpus exploded runs this must scale with the data to
+    # bound per-task memory: the exploded path sizes it from the input's
+    # (metadata-cheap) row count, never below ~4x CPUs, in run_extraction
+    # and in each checkpointed shard alike.
     reassembly_buckets: int | None = None
 
     def __post_init__(self):

@@ -19,7 +19,6 @@ yielded.
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def prepare_corpus(sf_dir: str, out_dir: str, *, near_dedup: bool = True,
@@ -448,106 +447,4 @@ def prepare_corpus_checkpointed(sf_dir: str, out_dir: str, *,
     manifest["n_shards"] = n_shards
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
-    return manifest
-
-
-def extract_and_prepare(input_path: str, out_dir: str, *,
-                        cfg=None, **prep_kwargs) -> dict:
-    """The full raw-to-training-data flow: interleaved (text+media)
-    documents -> span extraction (HTML strip + OCR) -> per-doc clean
-    text -> corpus preparation (filter -> dedup -> decontaminate ->
-    chunk) -> partitioned chunks + manifest.
-
-    Stage 1 streams the extraction pipeline and writes an intermediate
-    ``documents``-shaped table (doc_id int64 derived from a stable hash
-    of the string id, text = offset-ordered concatenation of clean span
-    texts) under ``{out_dir}/_extracted_docs``; stage 2 runs
-    prepare_corpus over it.  Rejected docs never reach the corpus
-    stage — they are the extraction pipeline's failed sidecar, and the
-    prep manifest accounts for everything else, so provenance is
-    complete across BOTH pipelines.
-    """
-    import os
-    import shutil
-
-    from ..config import DEFAULT_CONFIG
-    from .extract_pipeline import build_extracted
-    from ..sources.readers import read_documents
-
-    cfg = cfg or DEFAULT_CONFIG
-    extracted = build_extracted(read_documents(input_path), cfg) \
-        .materialize()
-
-    # extraction-stage provenance: rejects go to a sidecar (the same
-    # failed-table discipline as run_extraction), and the counts enter
-    # the manifest so NOTHING vanishes unaccounted between pipelines
-    failed_dir = os.path.join(out_dir, "_extraction_failed")
-    shutil.rmtree(failed_dir, ignore_errors=True)
-    os.makedirs(failed_dir, exist_ok=True)
-
-    def failed_rows(batch: pa.Table) -> pa.Table:
-        bad = batch.filter(pc.not_equal(batch["reject_reason"], ""))
-        return pa.table({"doc_id": bad["doc_id"],
-                         "reason": bad["reject_reason"]})
-
-    failed = extracted.map_batches(failed_rows, batch_format="pyarrow") \
-        .materialize()
-    n_failed = failed.count()
-    if n_failed > 0:
-        failed.write_parquet(failed_dir)
-
-    def to_docs(batch: pa.Table) -> pa.Table:
-        ok = pc.equal(batch["reject_reason"], "")
-        sel = batch.filter(ok)
-        import hashlib
-
-        ids, texts = [], []
-        spans_col = sel["spans"].combine_chunks() if sel.num_rows else None
-        for i in range(sel.num_rows):
-            doc_id = sel["doc_id"][i].as_py()
-            spans = sorted(spans_col[i].as_py(), key=lambda s: s["offset"])
-            # stable positive int64 id from the string id (64-bit blake2b
-            # >> 1; collision odds negligible at any corpus size we run)
-            ids.append(int.from_bytes(hashlib.blake2b(
-                doc_id.encode(), digest_size=8).digest(), "big") >> 1)
-            texts.append("\n".join(s["text"] for s in spans
-                                   if s["text"]))
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "text": pa.array(texts, pa.string())})
-
-    docs_dir = os.path.join(out_dir, "_extracted_docs")
-    shutil.rmtree(docs_dir, ignore_errors=True)
-    os.makedirs(docs_dir, exist_ok=True)
-    extracted.map_batches(to_docs, batch_format="pyarrow") \
-        .write_parquet(docs_dir)
-    # hash-collision guard (ADVICE r3): a 63-bit id has ~1e5 expected
-    # birthday collisions at 10^12 docs, each silently merging distinct
-    # documents into one doc_id.  Cheap distributed check: count(distinct
-    # doc_id) must equal the row count, else refuse loudly.
-    import pyarrow.dataset as _pads
-    import ray.data as _rd
-    if _pads.dataset(docs_dir).files:
-        _ids = _rd.read_parquet(docs_dir, columns=["doc_id"])
-        _n_rows = _ids.count()
-        _n_distinct = _ids.groupby("doc_id").count().count()
-        if _n_distinct != _n_rows:
-            raise RuntimeError(
-                f"doc_id hash collision detected in extract_and_prepare: "
-                f"{_n_rows} docs -> {_n_distinct} distinct 63-bit ids; "
-                f"dedup/contamination/chunk attribution would silently "
-                f"merge documents — widen the id derivation")
-    # prepare_corpus reads {dir}/documents.parquet; point it at the
-    # written directory via a view directory containing the parts
-    view = os.path.join(out_dir, "_docs_view")
-    shutil.rmtree(view, ignore_errors=True)
-    os.makedirs(view, exist_ok=True)
-    os.symlink(os.path.abspath(docs_dir),
-               os.path.join(view, "documents.parquet"))
-    manifest = prepare_corpus(view, out_dir, **prep_kwargs)
-    manifest["extraction_input"] = input_path
-    manifest["extraction_rejects"] = int(n_failed)
-    manifest["raw_input_docs"] = int(manifest["input_docs"] + n_failed)
-    import json as _json
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        _json.dump(manifest, f, indent=2)
     return manifest

@@ -82,7 +82,12 @@ SPAN_RESULT_SCHEMA = pa.schema([
     ("clean_chars", pa.int64()),
     ("original_chars", pa.int64()),
     ("span_ms", pa.float64()),
+    ("reject_reason", pa.string()),
 ])
+
+# ExtractSpans passes a rejected doc's sentinel row through with these
+# and zero line stats, without calling the kernel
+_NO_SPAN = {"quality": 0.0, "retried": False, "confs": []}
 
 
 def _result_row(doc_id: str, spans: list, metrics: dict,
@@ -208,18 +213,30 @@ class ExtractDocs:
 
 
 def explode_spans(batch: pa.Table) -> pa.Table:
-    """Zero-copy-ish flatten: one row per span, doc_id repeated via
-    list_parent_indices (pyarrow kernels, no Python loop)."""
+    """Zero-copy-ish flatten of a validated batch: one row per span,
+    doc_id repeated via list_parent_indices (pyarrow kernels, no Python
+    loop).  A rejected doc becomes ONE sentinel row with null span fields
+    and its reject_reason, so an over-cap monster costs one row."""
+    rejected = pc.not_equal(batch.column("reject_reason"), "")
+    sentinels = batch.filter(rejected)
+    if sentinels.num_rows:
+        batch = batch.filter(pc.invert(rejected))
     spans = batch.column("spans").combine_chunks()
     flat = pc.list_flatten(spans)
-    parent = pc.list_parent_indices(spans)
-    doc_ids = pc.take(batch.column("doc_id"), parent)
-    return pa.Table.from_arrays(
-        [doc_ids.combine_chunks() if isinstance(doc_ids, pa.ChunkedArray) else doc_ids,
-         flat.field("kind"), flat.field("text"),
-         flat.field("media_ref"), flat.field("offset")],
-        names=["doc_id", "kind", "text", "media_ref", "offset"],
-    )
+    doc_ids = pc.take(batch.column("doc_id"), pc.list_parent_indices(spans))
+    names = ["doc_id", "kind", "text", "media_ref", "offset",
+             "reject_reason"]
+    out = pa.Table.from_arrays(
+        [doc_ids, flat.field("kind"), flat.field("text"),
+         flat.field("media_ref"), flat.field("offset"),
+         pa.repeat("", len(flat))], names=names)
+    if not sentinels.num_rows:
+        return out
+    return pa.concat_tables([out, pa.Table.from_arrays(
+        [sentinels.column("doc_id")]
+        + [pa.nulls(sentinels.num_rows, out.schema.field(n).type)
+           for n in names[1:5]]
+        + [sentinels.column("reject_reason")], names=names)])
 
 
 class ExtractSpans:
@@ -237,14 +254,17 @@ class ExtractSpans:
         kinds = batch["kind"].to_pylist()
         texts = batch["text"].to_pylist()
         media_refs = batch["media_ref"].to_pylist()
+        reasons = batch["reject_reason"].to_pylist()
+        passthrough = ("doc_id", "kind", "media_ref", "offset",
+                       "reject_reason")
         cols: dict[str, list] = {n: [] for n in SPAN_RESULT_SCHEMA.names
-                                 if n not in ("doc_id", "kind",
-                                              "media_ref", "offset")}
-        for kind, text, media_ref in zip(kinds, texts, media_refs):
+                                 if n not in passthrough}
+        for kind, text, media_ref, reason in zip(kinds, texts, media_refs,
+                                                 reasons):
             st = CleanStats()
             t0 = time.monotonic()
-            cleaned, meta = extract_span(kind, text, media_ref,
-                                         self.cfg, stats=st)
+            cleaned, meta = ("", _NO_SPAN) if reason else extract_span(
+                kind, text, media_ref, self.cfg, stats=st)
             cols["span_ms"].append((time.monotonic() - t0) * 1000.0)
             cols["text"].append(cleaned)
             cols["quality"].append(meta["quality"])
@@ -259,10 +279,7 @@ class ExtractSpans:
             cols["num_ents"].append(count_entities(cleaned))
             cols["clean_chars"].append(st.total_clean_chars)
             cols["original_chars"].append(st.total_original_chars)
-        passthrough = {"doc_id": batch["doc_id"], "kind": batch["kind"],
-                       "media_ref": batch["media_ref"],
-                       "offset": batch["offset"]}
-        arrays = [passthrough[f.name] if f.name in passthrough
+        arrays = [batch[f.name] if f.name in passthrough
                   else pa.array(cols[f.name], type=f.type)
                   for f in SPAN_RESULT_SCHEMA]
         return pa.Table.from_arrays(arrays, schema=SPAN_RESULT_SCHEMA)
@@ -292,9 +309,22 @@ def reassemble_bucket(group: pa.Table,
     metrics sum via np.add.reduceat (order-free, exact).  The float
     quality/conf accumulation walks spans in offset order per doc — the
     same sequential adds as extract_doc, so means match the nested path
-    bit for bit.
+    bit for bit.  A rejected doc's sentinel row becomes the zero-metric
+    row ExtractDocs emits for it.
     """
     import numpy as np
+
+    rejected = pc.not_equal(group["reject_reason"], "")
+    sentinels = group.filter(rejected)
+    rejects = pa.Table.from_pylist(
+        [_result_row(d, [], _ZERO_METRICS, r) for d, r in zip(
+            sentinels["doc_id"].to_pylist(),
+            sentinels["reject_reason"].to_pylist())],
+        schema=RESULT_SCHEMA)
+    if sentinels.num_rows:
+        group = group.filter(pc.invert(rejected))
+        if not group.num_rows:
+            return rejects
 
     g = group.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
     n = g.num_rows
@@ -377,7 +407,8 @@ def reassemble_bucket(group: pa.Table,
     }
     arrays = [cols[f.name].cast(f.type) if cols[f.name].type != f.type
               else cols[f.name] for f in RESULT_SCHEMA]
-    return pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA)
+    return pa.concat_tables(
+        [pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA), rejects])
 
 
 def reassemble_group(group: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:

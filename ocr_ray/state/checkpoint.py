@@ -28,13 +28,6 @@ import os
 import shutil
 import time
 
-_METRIC_SUM_COLS = (
-    "n_spans", "media_spans", "blocks_kept", "blocks_dropped",
-    "clean_chars", "original_chars", "min_length_lines", "forbidden_lines",
-    "low_alpha_lines", "high_digit_lines", "non_ascii_lines", "num_ents",
-    "retried_spans",
-)
-
 
 def list_input_files(input_path: str) -> list[str]:
     """Deterministic (sorted) fragment enumeration — the reference sorts
@@ -83,29 +76,8 @@ class CheckpointedRunner:
                 out.add(int(f[len("shard-"):-len(".json")]))
         return out
 
-    # -- metrics -------------------------------------------------------
-    def _aggregate_metrics(self, extracted_dir: str) -> dict:
-        """Per-shard rollup read back from the written (columnar) output —
-        column-pruned, so this re-read touches only the small metric
-        columns, never the span text."""
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        cols = list(_METRIC_SUM_COLS) + ["quality_mean", "conf_hist",
-                                         "reject_reason"]
-        tbl = pads.dataset(extracted_dir).to_table(columns=cols)
-        tbl = tbl.filter(pc.equal(tbl["reject_reason"], ""))
-        agg = {c: pc.sum(tbl.column(c)).as_py() or 0 for c in _METRIC_SUM_COLS}
-        q = [v for v in tbl.column("quality_mean").to_pylist() if v >= 0]
-        agg["quality_mean"] = round(sum(q) / len(q), 4) if q else -1.0
-        hists = tbl.column("conf_hist").to_pylist()
-        agg["conf_hist"] = [sum(h[i] for h in hists) for i in range(
-            len(hists[0]))] if hists else []
-        return agg
-
     # -- execution -----------------------------------------------------
     def run_shard(self, k: int) -> dict:
-        import pyarrow.dataset as pads
         import ray.data as rd
 
         from ..pipelines.extract_pipeline import write_extraction
@@ -114,14 +86,8 @@ class CheckpointedRunner:
         tmp = os.path.join(self.output_dir, f".tmp-shard-{k:05d}")
         shutil.rmtree(tmp, ignore_errors=True)
 
-        counts = write_extraction(rd.read_parquet(self.shards[k]), tmp,
-                                  self.cfg)
-        n_docs, n_failed = counts["extracted"], counts["failed"]
-        failed_reasons = sorted(set(
-            pads.dataset(f"{tmp}/failed").to_table(columns=["reason"])
-            .column("reason").to_pylist())) if n_failed else []
-        metrics = (self._aggregate_metrics(f"{tmp}/extracted")
-                   if n_docs else {})
+        acc = write_extraction(rd.read_parquet(self.shards[k]), tmp,
+                               self.cfg)
 
         # atomic publish: rename data dirs into place, marker LAST
         for sub in ("extracted", "failed"):
@@ -139,10 +105,10 @@ class CheckpointedRunner:
             # ones are not) — same discipline as the corpus_pipeline
             # resume fingerprint
             "file_stats": {f: _file_stat(f) for f in self.shards[k]},
-            "doc_count": n_docs,
-            "failed_count": n_failed,
-            "failed_reasons": failed_reasons,
-            "metrics": metrics,
+            "doc_count": acc["extracted"],
+            "failed_count": acc["failed"],
+            "failed_reasons": acc["failed_reasons"],
+            "metrics": acc["metrics"],
             "started_at": started,
             "committed_at": time.time(),
         }

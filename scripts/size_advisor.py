@@ -10,9 +10,7 @@ The rules (all MEASURED on this engine, see BASELINE.md):
   (the measured 21x swing at a 2 GB cap came from violating this);
 * input files must be ~block-sized: tiny files bundle dozens of
   fragments per read task and collapse admission the same way
-  (measured with 1.5 MB files at 128 MB blocks);
-* actor pools pre-start ~2/3 of cluster CPUs (autoscaling ramp is
-  too slow for short jobs), leaving >= 2 CPUs for tasks.
+  (measured with 1.5 MB files at 128 MB blocks).
 
 Usage::
 
@@ -36,7 +34,7 @@ def advise(corpus_bytes: float, n_nodes: int, cpus_per_node: int,
     if min(corpus_bytes, n_nodes, cpus_per_node,
            store_bytes_per_node) <= 0:
         raise ValueError("all sizes must be positive")
-    task_slots = max(1, cpus_per_node - 2)      # >=2 CPUs for tasks rule
+    task_slots = max(1, cpus_per_node - 2)      # leaves 2 CPUs per node free
     # admission rule: in-block + out-block per task must fit the
     # per-operator reservation (~store/4) across all slots
     max_block = store_bytes_per_node / (4 * task_slots * 2)
@@ -46,7 +44,6 @@ def advise(corpus_bytes: float, n_nodes: int, cpus_per_node: int,
     file_bytes = block
     n_files = max(n_nodes * task_slots,
                   int(corpus_bytes / max(1, file_bytes)))
-    actor_pool = max(1, (n_nodes * cpus_per_node * 2) // 3)
     est_docs = corpus_bytes * docs_per_byte
     return {
         "task_slots_per_node": task_slots,
@@ -54,7 +51,6 @@ def advise(corpus_bytes: float, n_nodes: int, cpus_per_node: int,
         "block_is_store_limited": bool(block < 128 * 1024 * 1024),
         "recommended_file_bytes": int(file_bytes),
         "recommended_n_files": int(n_files),
-        "actor_pool_size": int(actor_pool),
         "estimated_docs": int(est_docs),
         "admitted_tasks_per_node": int(
             (store_bytes_per_node / 4) // max(1, 2 * block)),

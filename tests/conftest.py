@@ -25,6 +25,34 @@ def ray_session():
 
 
 @pytest.fixture(scope="session")
+def ray_executions():
+    """``with ray_executions() as names:`` collects the name of every
+    Ray Data execution the driver starts inside the block."""
+    from contextlib import contextmanager
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    @contextmanager
+    def record():
+        names = []
+        execute = StreamingExecutor.execute
+
+        def recording(self, dag, *args, **kwargs):
+            names.append(dag.name)
+            return execute(self, dag, *args, **kwargs)
+
+        StreamingExecutor.execute = recording
+        try:
+            yield names
+        finally:
+            StreamingExecutor.execute = execute
+
+    return record
+
+
+@pytest.fixture(scope="session")
 def small_corpus():
     """Deterministic 60-doc corpus covering every archetype."""
     from ocr_ray.fixtures import documents_table

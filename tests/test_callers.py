@@ -37,8 +37,6 @@ DEF_ALLOWLIST = {
     ("ocr_ray.stages.extract_stage", "reassemble_group"):
         "test_pipeline.py::TestBucketizedReassembly::"
         "test_bucket_equals_per_doc_reference",
-    ("ocr_ray.stages.extract_stage", "_result_row"):
-        "helper of reassemble_group (same test)",
     ("ocr_ray.kernels.extract", "validate_spans"):
         "test_pipeline.py::TestValidateVectorized::"
         "test_vector_scalar_agreement",
@@ -203,7 +201,7 @@ TEST_ONLY = {
         "MAX_INPUT_CHARS _SENT_SPLIT split_sentences summarize",
     "ocr_ray.kernels.vecsearch": "DIM VectorKeywordSearcher _embed",
     "ocr_ray.pipelines.corpus_pipeline":
-        "_input_fingerprint extract_and_prepare prepare_corpus_checkpointed",
+        "_input_fingerprint prepare_corpus_checkpointed",
     "ocr_ray.sources.readers": "read_csv_documents",
     "ocr_ray.sources.sitemap":
         "_local_name frontier_coverage parse_sitemap_bytes read_sitemap_urls",

@@ -119,6 +119,74 @@ class TestResumeExplodedMode:
         assert_span_equal(actual, golden_result["extracted"])
 
 
+class TestMarkersAreLayoutFree:
+    """Nested and exploded shards write the same rows and the same
+    lineage markers, and each shard is one Ray execution."""
+
+    @pytest.fixture(scope="class")
+    def mode_runs(self, ray_session, ray_executions, small_corpus_path,
+                  tmp_path_factory):
+        from ocr_ray.config import PipelineConfig
+
+        runs = {}
+        for mode in ("nested", "exploded"):
+            out = str(tmp_path_factory.mktemp(f"ckpt_layout_{mode}"))
+            runner = CheckpointedRunner(
+                small_corpus_path, out, n_shards=2,
+                cfg=PipelineConfig(pipeline_mode=mode))
+            markers, execs = [], []
+            for k in range(len(runner.shards)):
+                with ray_executions() as names:
+                    markers.append(runner.run_shard(k))
+                execs.append(names)
+            runs[mode] = (out, runner, markers, execs)
+        return runs
+
+    def test_one_ray_execution_per_shard(self, mode_runs):
+        for mode, (_, _, _, execs) in mode_runs.items():
+            assert [len(e) for e in execs] == [1, 1], (mode, execs)
+
+    def test_extracted_rows_equal_across_modes(self, mode_runs):
+        def rows(out):
+            return (pads.dataset(f"{out}/extracted").to_table()
+                    .drop_columns(["proc_ms"]).sort_by("doc_id").to_pylist())
+
+        nested, exploded = (rows(r[0]) for r in mode_runs.values())
+        assert len(nested) == 60
+        assert nested == exploded
+
+    def test_markers_equal_golden_rollup(self, mode_runs, golden_result):
+        import math
+
+        import pyarrow.parquet as pq
+
+        keys = ("doc_count", "failed_count", "failed_reasons", "metrics")
+        golden_metrics = golden_result["metrics"].to_pylist()
+        sum_cols = [c for c in golden_result["metrics"].column_names
+                    if c not in ("doc_id", "quality_mean", "conf_hist")]
+        for k, files in enumerate(mode_runs["nested"][1].shards):
+            ids = set(pq.read_table(files, columns=["doc_id"])
+                      ["doc_id"].to_pylist())
+            ok = [r for r in golden_metrics if r["doc_id"] in ids]
+            failed = [r for r in golden_result["failed"].to_pylist()
+                      if r["doc_id"] in ids]
+            q = [r["quality_mean"] for r in ok if r["quality_mean"] >= 0]
+            want = {
+                "doc_count": len(ok),
+                "failed_count": len(failed),
+                "failed_reasons": sorted({r["reason"] for r in failed}),
+                "metrics": {
+                    **{c: sum(r[c] for r in ok) for c in sum_cols},
+                    "quality_mean": round(math.fsum(q) / len(q), 4),
+                    "conf_hist": [sum(b) for b in
+                                  zip(*(r["conf_hist"] for r in ok))],
+                },
+            }
+            for mode, (_, _, markers, _) in mode_runs.items():
+                got = {key: markers[k][key] for key in keys}
+                assert got == want, (mode, k)
+
+
 class TestIncrementalAppend:
     def test_appended_files_become_new_shards(
             self, ray_session, small_corpus, golden_result,

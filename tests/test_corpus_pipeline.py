@@ -217,67 +217,6 @@ class TestCheckpointedPrep:
         assert len(keys) == len(set(keys))
 
 
-class TestExtractAndPrepare:
-    def test_raw_to_chunks_end_to_end(self, ray_session, tmp_path):
-        """Interleaved corpus -> extraction -> clean text -> prepared
-        chunks: rejects never reach the corpus stage; chunk text derives
-        from CLEANED span text (boilerplate stripped)."""
-        import pyarrow.dataset as pads
-
-        from ocr_ray.fixtures import write_corpus
-        from ocr_ray.pipelines.corpus_pipeline import extract_and_prepare
-
-        corpus = write_corpus(str(tmp_path / "raw"), 60, seed=5)
-        out = str(tmp_path / "prep")
-        m = extract_and_prepare(corpus, out, n_probe_docs=0,
-                                min_chars=50)
-        assert m["input_docs"] > 0
-        assert m["kept_docs"] > 0
-        chunks = pads.dataset(f"{out}/chunks").to_table()
-        assert m["n_chunks"] == chunks.num_rows > 0
-        # extracted text must be CLEAN: no raw HTML markup survives
-        for t in chunks["text"].to_pylist()[:50]:
-            assert "<div" not in t and "<script" not in t
-
-    def test_pack_budget_plumbs_through(self, ray_session, tmp_path):
-        """prep_kwargs forwarding: the raw-to-training-data composition
-        accepts pack_budget_tokens and produces packs + manifest rollup
-        end to end (interleaved docs in, packed sequences out)."""
-        import pyarrow.dataset as pads
-
-        from ocr_ray.fixtures import write_corpus
-        from ocr_ray.pipelines.corpus_pipeline import extract_and_prepare
-
-        corpus = write_corpus(str(tmp_path / "raw"), 60, seed=5)
-        out = str(tmp_path / "prep")
-        m = extract_and_prepare(corpus, out, n_probe_docs=0,
-                                min_chars=50, pack_budget_tokens=512)
-        assert m["n_packs"] > 0 and m["pack_budget_tokens"] == 512
-        packs = pads.dataset(f"{out}/packs", partitioning="hive") \
-            .to_table()
-        assert packs.num_rows == m["n_chunks"]
-        disk = __import__("json").load(open(f"{out}/manifest.json"))
-        assert disk["n_packs"] == m["n_packs"]
-
-    def test_extraction_rejects_accounted(self, ray_session, tmp_path):
-        """Rejects get a sidecar + manifest accounting: nothing vanishes
-        between the extraction and corpus stages."""
-        import pyarrow.dataset as pads
-        import pyarrow.parquet as pqt
-
-        from ocr_ray.fixtures import write_corpus
-        from ocr_ray.pipelines.corpus_pipeline import extract_and_prepare
-
-        corpus = write_corpus(str(tmp_path / "raw"), 80, seed=42)
-        out = str(tmp_path / "prep")
-        m = extract_and_prepare(corpus, out, n_probe_docs=0, min_chars=50)
-        assert m["raw_input_docs"] == m["input_docs"] + m["extraction_rejects"]
-        if m["extraction_rejects"] > 0:
-            failed = pads.dataset(f"{out}/_extraction_failed").to_table()
-            assert failed.num_rows == m["extraction_rejects"]
-            assert all(r for r in failed["reason"].to_pylist())
-
-
 class TestCheckpointedGuards:
     def test_resume_with_different_shards_refused(self, ray_session,
                                                   prep_corpus_dir,

@@ -6,23 +6,31 @@ import pytest
 
 from ocr_ray.config import PipelineConfig
 from ocr_ray.golden import assert_span_equal, spans_fingerprint
-from ocr_ray.pipelines.extract_pipeline import build_extracted, build_failed, run_extraction
+from ocr_ray.pipelines.extract_pipeline import build_extracted, run_extraction
 from ocr_ray.stages.validate import validate_batch
 from ocr_ray.kernels.extract import validate_spans
 
 
-@pytest.fixture(scope="module")
-def pipeline_output(ray_session, small_corpus_path, tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("pipe_out"))
-    summary = run_extraction(small_corpus_path, out)
-    return out, summary
+@pytest.fixture(scope="class")
+def pipeline_output(request, ray_session, ray_executions, small_corpus_path,
+                    tmp_path_factory):
+    """One run_extraction in the class's ``mode``: (output dir, summary,
+    the Ray executions it started)."""
+    mode = request.cls.mode
+    out = str(tmp_path_factory.mktemp(f"pipe_out_{mode}"))
+    with ray_executions() as execs:
+        summary = run_extraction(small_corpus_path, out,
+                                 PipelineConfig(pipeline_mode=mode))
+    return out, summary, execs
 
 
 class TestPipelineEquality:
+    mode = "nested"
+
     def test_span_sequence_equality(self, pipeline_output, golden_result):
         import pyarrow.compute as pc
 
-        out, _ = pipeline_output
+        out, _, _ = pipeline_output
         tbl = pads.dataset(f"{out}/extracted").to_table(
             columns=["doc_id", "spans", "reject_reason"])
         actual = tbl.filter(pc.equal(tbl["reject_reason"], "")).select(
@@ -30,7 +38,7 @@ class TestPipelineEquality:
         assert_span_equal(actual, golden_result["extracted"])
 
     def test_failed_docs_match_golden(self, pipeline_output, golden_result):
-        out, _ = pipeline_output
+        out, _, _ = pipeline_output
         actual = sorted(pads.dataset(f"{out}/failed").to_table().to_pylist(),
                         key=lambda r: r["doc_id"])
         expected = sorted(golden_result["failed"].to_pylist(),
@@ -40,7 +48,7 @@ class TestPipelineEquality:
     def test_metrics_match_golden(self, pipeline_output, golden_result):
         import pyarrow.compute as pc
 
-        out, _ = pipeline_output
+        out, _, _ = pipeline_output
         cols = list(golden_result["metrics"].column_names)
         tbl = pads.dataset(f"{out}/extracted").to_table(
             columns=cols + ["reject_reason"])
@@ -51,9 +59,23 @@ class TestPipelineEquality:
             assert act == exp, f"metrics differ for {exp['doc_id']}"
 
     def test_counts(self, pipeline_output, golden_result):
-        _, summary = pipeline_output
+        _, summary, _ = pipeline_output
         assert summary["extracted"] == golden_result["extracted"].num_rows
         assert summary["failed"] == golden_result["failed"].num_rows
+
+    def test_one_ray_execution(self, pipeline_output):
+        """Extraction, rejects and accounting come out of ONE Ray
+        execution: no second pass over the input or the output."""
+        _, _, execs = pipeline_output
+        assert len(execs) == 1, execs
+
+
+class TestExplodedPipelineEquality(TestPipelineEquality):
+    """The same checks on an exploded run: rejects ride inline through
+    explode -> ExtractSpans -> reassembly, so the failed sidecar, the
+    metrics and the counts come from the one execution too."""
+
+    mode = "exploded"
 
 
 class TestPhysicalModeEquality:
@@ -68,9 +90,14 @@ class TestPhysicalModeEquality:
         from ocr_ray.sources.readers import read_documents
 
         tbl = build_extracted(read_documents(corpus_path), cfg).to_pandas()
+        ok = tbl[tbl["reject_reason"] == ""]
         actual = pa.Table.from_pylist(
-            tbl[["doc_id", "spans"]].to_dict("records"), schema=EXTRACTED_SCHEMA)
+            ok[["doc_id", "spans"]].to_dict("records"), schema=EXTRACTED_SCHEMA)
         assert_span_equal(actual, golden["extracted"])
+        rejects = tbl[tbl["reject_reason"] != ""]
+        assert sorted(zip(rejects["doc_id"], rejects["reject_reason"])) == \
+            sorted((r["doc_id"], r["reason"])
+                   for r in golden["failed"].to_pylist())
 
     def test_all_exploded_equals_golden(self, ray_session, small_corpus_path,
                                         golden_result):
@@ -176,3 +203,73 @@ class TestBucketizedReassembly:
                 if k == "proc_ms":
                     continue  # wall-clock timing, not comparable
                 assert g[k] == w[k], (g["doc_id"], k)
+
+    def test_rejects_ride_inline_like_nested(self, small_corpus):
+        """In process, rejects included: validate -> explode_spans ->
+        ExtractSpans -> reassemble_bucket yields ExtractDocs's rows.  A
+        rejected doc explodes to ONE sentinel row, however many spans
+        it has."""
+        import pyarrow.compute as pc
+
+        from ocr_ray.stages.extract_stage import (
+            ExtractDocs,
+            ExtractSpans,
+            explode_spans,
+            reassemble_bucket,
+        )
+
+        validated = validate_batch(small_corpus)
+        rejected = validated.filter(
+            pc.not_equal(validated["reject_reason"], ""))
+        spans = explode_spans(validated)
+        sentinels = spans.filter(pc.not_equal(spans["reject_reason"], ""))
+        assert rejected.num_rows > 0
+        assert sorted(sentinels["doc_id"].to_pylist()) == \
+            sorted(rejected["doc_id"].to_pylist())
+
+        def rows(tbl):
+            return tbl.drop_columns(["proc_ms"]).sort_by("doc_id").to_pylist()
+
+        assert rows(reassemble_bucket(ExtractSpans()(spans))) == \
+            rows(ExtractDocs()(small_corpus))
+
+
+class TestAccounting:
+    """The streaming accounting pass behind every job's summary and
+    lineage marker (Ray-free)."""
+
+    @staticmethod
+    def _batches():
+        import pyarrow as pa
+
+        from ocr_ray.stages.extract_stage import RESULT_SCHEMA, _ZERO_METRICS
+
+        # 1e16 + 1 + 1: a left-to-right float sum loses both ones, a
+        # right-to-left one keeps them
+        qualities = [1e16, 1.0, 1.0, -1.0]
+        rows = [{"doc_id": f"d{i}", "spans": [],
+                 **{**_ZERO_METRICS, "n_spans": i, "quality_mean": q,
+                    "conf_hist": [i] * 10},
+                 "reject_reason": "", "proc_ms": 0.0}
+                for i, q in enumerate(qualities)]
+        rows.append({"doc_id": "bad", "spans": [], **_ZERO_METRICS,
+                     "reject_reason": "no_content", "proc_ms": 0.0})
+        return [pa.RecordBatch.from_pylist([r], schema=RESULT_SCHEMA)
+                for r in rows]
+
+    def test_quality_mean_ignores_batch_order(self):
+        import math
+
+        from ocr_ray.pipelines.extract_pipeline import account_batches
+
+        failed = []
+        fwd = account_batches(self._batches(), failed.append)
+        rev = account_batches(reversed(self._batches()), failed.append)
+        assert fwd == rev
+        assert fwd["metrics"]["quality_mean"] == round(
+            math.fsum([1e16, 1.0, 1.0]) / 3, 4)
+        assert (fwd["extracted"], fwd["failed"]) == (4, 1)
+        assert fwd["failed_reasons"] == ["no_content"]
+        assert fwd["metrics"]["n_spans"] == 0 + 1 + 2 + 3
+        assert fwd["metrics"]["conf_hist"] == [6] * 10
+        assert [b["doc_id"].to_pylist() for b in failed] == [["bad"]] * 2

@@ -90,8 +90,6 @@ class TestSizeAdvisor:
         assert rec2["recommended_file_bytes"] == \
             rec2["target_max_block_size_bytes"]
         assert rec2["recommended_n_files"] >= 256 * 30
-        # 2/3 actor-pool rule
-        assert rec2["actor_pool_size"] == (256 * 32 * 2) // 3
         import pytest as _pt
         with _pt.raises(ValueError):
             sa.advise(0, 1, 1, 1)
