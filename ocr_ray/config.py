@@ -36,9 +36,9 @@ class PipelineConfig:
     #            is bounded (max_spans_per_doc caps it, the MAX_NUM_PAGES
     #            analog) — zero shuffle.
     # "exploded" EVERY doc -> span rows -> span extract -> bucketed
-    #            reassembly; right when per-span work is heavy (real OCR
-    #            at seconds/page) so one doc must spread across the
-    #            cluster.
+    #            reassembly (bucket count sized from the data); right
+    #            when per-span work is heavy (real OCR at seconds/page)
+    #            so one doc must spread across the cluster.
     # A corpus mixing both kinds is pre-bucketed by size and run as one
     # job of each (pipelines/bucketize.py, run_job.py --mode auto).
     pipeline_mode: str = "nested"
@@ -57,13 +57,6 @@ class PipelineConfig:
     # the exploded pipeline hands ExtractSpans whole blocks
     # (batch_size=None), so this does not affect the pipeline
     span_batch_size: int = 256
-    # exploded-path reassembly bucket count (None = sized from the data).
-    # A bucket's group holds ~n_docs/buckets docs' span rows, so for
-    # LARGE full-corpus exploded runs this must scale with the data to
-    # bound per-task memory: the exploded path sizes it from the input's
-    # (metadata-cheap) row count, never below ~4x CPUs, in run_extraction
-    # and in each checkpointed shard alike.
-    reassembly_buckets: int | None = None
 
     def __post_init__(self):
         if self.pipeline_mode not in ("nested", "exploded"):

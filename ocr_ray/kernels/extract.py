@@ -16,7 +16,8 @@ Ray-native restatement of the reference's per-document chain
   the span-sequence-equality invariant.
 
 All functions are pure; per-doc metrics come back as flat dicts ready to
-become Arrow columns.
+become Arrow columns, from ``doc_metrics`` — the one per-document rollup,
+which the nested and the exploded path both call.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def extract_doc_cols(
     offsets,
     cfg: PipelineConfig = DEFAULT_CONFIG,
 ) -> dict:
-    """Columnar per-document extraction over parallel span-field lists.
+    """Columnar per-document extraction over parallel span-field lists:
+    validate, extract each span in offset order, ``doc_metrics``.
 
     Returns ``{"ok": True, "kinds": [...], "texts": [...], "refs": [...],
     "offsets": [...], "metrics": {...}}`` (span fields ordered by offset)
@@ -230,42 +232,55 @@ def extract_doc_cols(
         return {"ok": False, "doc_id": doc_id, "reason": reason}
 
     order = sorted(range(len(offsets)), key=offsets.__getitem__)
-    out_texts = []
-    st = CleanStats()
+    out_kinds = [kinds[i] for i in order]
+    out_texts: list[str] = []
     qualities: list[float] = []
-    all_confs: list[float] = []
-    retries = 0
+    retried: list[bool] = []
+    confs: list[list[float]] = []
+    st = CleanStats()
     num_ents = 0
     for i in order:
-        kind = kinds[i]
-        cleaned, meta = extract_span(kind, texts[i], media_refs[i], cfg,
+        cleaned, meta = extract_span(kinds[i], texts[i], media_refs[i], cfg,
                                      stats=st)
         num_ents += count_entities(cleaned)
         out_texts.append(cleaned)
-        if kind == "media":
-            qualities.append(meta["quality"])
-            all_confs.extend(meta["confs"])
-            retries += int(meta["retried"])
-    metrics = {
-        "n_spans": len(out_texts),
-        "media_spans": len(qualities),
-        "blocks_kept": st.kept_lines,
-        "blocks_dropped": st.dropped_lines,
-        "clean_chars": st.total_clean_chars,
-        "original_chars": st.total_original_chars,
-        "min_length_lines": st.min_length_lines,
-        "forbidden_lines": st.forbidden_lines,
-        "low_alpha_lines": st.low_alpha_lines,
-        "high_digit_lines": st.high_digit_lines,
-        "non_ascii_lines": st.non_ascii_lines,
-        "num_ents": num_ents,
-        "quality_mean": round(sum(qualities) / len(qualities), 4) if qualities else -1.0,
-        "retried_spans": retries,
-        "conf_hist": conf_histogram(all_confs),
-    }
+        qualities.append(meta["quality"])
+        retried.append(meta["retried"])
+        confs.append(meta["confs"])
     return {"ok": True, "doc_id": doc_id,
-            "kinds": [kinds[i] for i in order],
+            "kinds": out_kinds,
             "texts": out_texts,
             "refs": [media_refs[i] for i in order],
             "offsets": [offsets[i] for i in order],
-            "metrics": metrics}
+            "metrics": doc_metrics(out_kinds, qualities, retried, confs, st,
+                                   num_ents)}
+
+
+def doc_metrics(kinds, qualities, retried, confs, stats: CleanStats,
+                num_ents: int) -> dict:
+    """The per-document metric columns (``METRICS_FIELDS`` minus doc_id)
+    from a doc's span results: parallel per-span lists in OFFSET order,
+    the doc's merged line stats and its entity count.
+
+    The one rollup both physical paths call (``extract_doc_cols`` and the
+    exploded ``reassemble_bucket``).  Media qualities are summed in offset
+    order, so ``quality_mean`` is bit-identical whichever path ran."""
+    media = [i for i, k in enumerate(kinds) if k == "media"]
+    qs = [qualities[i] for i in media]
+    return {
+        "n_spans": len(kinds),
+        "media_spans": len(media),
+        "blocks_kept": stats.kept_lines,
+        "blocks_dropped": stats.dropped_lines,
+        "clean_chars": stats.total_clean_chars,
+        "original_chars": stats.total_original_chars,
+        "min_length_lines": stats.min_length_lines,
+        "forbidden_lines": stats.forbidden_lines,
+        "low_alpha_lines": stats.low_alpha_lines,
+        "high_digit_lines": stats.high_digit_lines,
+        "non_ascii_lines": stats.non_ascii_lines,
+        "num_ents": num_ents,
+        "quality_mean": round(sum(qs) / len(qs), 4) if qs else -1.0,
+        "retried_spans": sum(int(retried[i]) for i in media),
+        "conf_hist": conf_histogram([c for i in media for c in confs[i]]),
+    }

@@ -80,8 +80,8 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     config.py) emit the same rows, one lineage either way.
     """
     if cfg.pipeline_mode == "nested":
-        # validation fused INSIDE the extract stage (ExtractDocs.__call__);
-        # no repartition barrier: read-fragment granularity + batch_size
+        # validation happens once, in the kernel (extract_doc_cols); no
+        # repartition barrier: read-fragment granularity + batch_size
         # slicing feed the tasks evenly (measured equal to an explicit
         # repartition at 12k docs, minus the barrier)
         return ds.map_batches(
@@ -95,12 +95,11 @@ def build_extracted(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     # bucketized reassembly: ONE group per hash bucket (not per doc)
     # amortizes the per-group machinery over ~hundreds of docs; the
     # groupby(bucket) shuffle moves the same span rows the per-doc
-    # groupby did.  The bucket count scales with the DATA (a fixed
-    # cluster-sized count makes group size grow with the corpus); count()
-    # on an untransformed file read is parquet-metadata-only (no
-    # execution)
-    n_buckets = cfg.reassembly_buckets or max(
-        nblocks, -(-ds.count() // REASSEMBLY_DOCS_PER_BUCKET))
+    # groupby did.  The bucket count scales with the DATA, which bounds
+    # per-task memory (a fixed count makes group size grow with the
+    # corpus), and never drops below ~4x CPUs; count() on an
+    # untransformed file read is parquet-metadata-only (no execution)
+    n_buckets = max(nblocks, -(-ds.count() // REASSEMBLY_DOCS_PER_BUCKET))
     return (
         ds.map_batches(validate_batch, batch_format="pyarrow",
                        fn_kwargs={"cfg": cfg})

@@ -3,18 +3,20 @@
 Two physical strategies over the same kernel (SURVEY.md §7.4):
 
 * **nested path** (default, no shuffle): documents stay one-row-per-doc;
-  ``ExtractDocs`` maps ``extract_doc`` over batches of docs.  Order is
-  free because each row carries its whole span list.
-* **exploded path** (skew/mega docs): spans become rows, processed by
-  ``ExtractSpans`` one span at a time (so a 900-span mega doc
-  parallelizes across the cluster instead of stalling one worker — the
-  Ray answer to the reference's page-level ``--jobs`` fan-out,
-  ocr_service.py:37-39), then ONE ``groupby(doc_id)`` shuffle
-  reassembles ordered span lists.
+  ``ExtractDocs`` runs the kernel's ``extract_doc_cols`` (validate ->
+  extract -> ``doc_metrics``) over batches of docs.  Order is free
+  because each row carries its whole span list.
+* **exploded path** (skew/mega docs): ``validate_batch`` tags rejects,
+  spans become rows, processed by ``ExtractSpans`` one span at a time
+  (so a 900-span mega doc parallelizes across the cluster instead of
+  stalling one worker — the Ray answer to the reference's page-level
+  ``--jobs`` fan-out, ocr_service.py:37-39), then ONE ``groupby(bucket)``
+  shuffle and ``reassemble_bucket`` rebuild ordered span lists and roll
+  each doc up with the same ``doc_metrics``.
 
-Both paths emit the same ``RESULT_SCHEMA``: (doc_id, spans) + flat per-doc
-metric columns, so their union is seamless and metrics reproduce the
-golden extractor's values bit for bit (summation happens in offset order).
+Both paths emit the same ``RESULT_SCHEMA`` rows: (doc_id, spans) + flat
+per-doc metric columns, bit for bit the golden extractor's values,
+because one rollup over the spans in offset order computes them.
 
 The stages are stateless callables: the pipeline hands Ray Data an
 instance, which runs as plain tasks on Ray's pooled (warm) workers and
@@ -36,8 +38,8 @@ import pyarrow.compute as pc
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..kernels.cleaner import CleanStats
 from ..kernels.extract import (
-    conf_histogram,
     count_entities,
+    doc_metrics,
     extract_doc_cols,
     extract_span,
 )
@@ -62,38 +64,42 @@ _ZERO_METRICS = {
     "retried_spans": 0, "conf_hist": [],
 }
 
+# per-span CleanStats counters the exploded path carries to reassembly:
+# the ones doc_metrics reads
+_SPAN_STATS = ("kept_lines", "min_length_lines", "forbidden_lines",
+               "low_alpha_lines", "high_digit_lines", "non_ascii_lines",
+               "total_clean_chars", "total_original_chars")
+
 # intermediate schema of the exploded path
-SPAN_RESULT_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),
-    ("kind", pa.string()),
-    ("text", pa.string()),
-    ("media_ref", pa.string()),
-    ("offset", pa.int32()),
-    ("quality", pa.float64()),
-    ("retried", pa.int64()),
-    ("confs", pa.list_(pa.float64())),
-    ("kept_lines", pa.int64()),
-    ("min_length_lines", pa.int64()),
-    ("forbidden_lines", pa.int64()),
-    ("low_alpha_lines", pa.int64()),
-    ("high_digit_lines", pa.int64()),
-    ("non_ascii_lines", pa.int64()),
-    ("num_ents", pa.int64()),
-    ("clean_chars", pa.int64()),
-    ("original_chars", pa.int64()),
-    ("span_ms", pa.float64()),
-    ("reject_reason", pa.string()),
-])
+SPAN_RESULT_SCHEMA = pa.schema(
+    [("doc_id", pa.string()),
+     ("kind", pa.string()),
+     ("text", pa.string()),
+     ("media_ref", pa.string()),
+     ("offset", pa.int32()),
+     ("quality", pa.float64()),
+     ("retried", pa.int64()),
+     ("confs", pa.list_(pa.float64()))]
+    + [(f, pa.int64()) for f in _SPAN_STATS]
+    + [("num_ents", pa.int64()),
+       ("span_ms", pa.float64()),
+       ("reject_reason", pa.string())])
 
 # ExtractSpans passes a rejected doc's sentinel row through with these
 # and zero line stats, without calling the kernel
 _NO_SPAN = {"quality": 0.0, "retried": False, "confs": []}
 
+_METRIC_KEYS = [n for n, _ in METRICS_FIELDS if n != "doc_id"]
 
-def _result_row(doc_id: str, spans: list, metrics: dict,
-                reason: str = "", proc_ms: float = 0.0) -> dict:
-    return {"doc_id": doc_id, "spans": spans, **metrics,
-            "reject_reason": reason, "proc_ms": round(proc_ms, 3)}
+
+def _result_table(doc_ids: list, spans: pa.Array, metrics: list[dict],
+                  reasons: list[str], proc_ms: list[float]) -> pa.Table:
+    """RESULT_SCHEMA table from per-doc lists and the docs' spans."""
+    cols = {"doc_id": doc_ids, "reject_reason": reasons, "proc_ms": proc_ms,
+            **{k: [m[k] for m in metrics] for k in _METRIC_KEYS}}
+    return pa.Table.from_arrays(
+        [spans if f.name == "spans" else pa.array(cols[f.name], f.type)
+         for f in RESULT_SCHEMA], schema=RESULT_SCHEMA)
 
 
 def _gc_paused(call):
@@ -121,20 +127,15 @@ def _gc_paused(call):
 class ExtractDocs:
     """Batch callable for the nested path (whole docs per row).
 
-    Rows the validate stage rejected (reject_reason != '') pass through
-    as zero-metric rows — no extraction attempted, nothing dropped."""
+    Validation happens once, in the kernel: a doc ``extract_doc_cols``
+    rejects becomes a zero-metric row carrying its reason — nothing is
+    dropped.  Columns other than doc_id and spans are ignored."""
 
     def __init__(self, cfg: PipelineConfig = DEFAULT_CONFIG):
         self.cfg = cfg
 
     @_gc_paused
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if "reject_reason" not in batch.column_names:
-            # validation fused into the stage: one less task hop and one
-            # less full materialization of the corpus in the object store
-            from .validate import validate_batch
-
-            batch = validate_batch(batch, self.cfg)
         import numpy as np
 
         # Arrow-native span walk (round-4 VERDICT What's-wrong #3): the
@@ -145,7 +146,6 @@ class ExtractDocs:
         # zero-length slice, which the cols validator rejects as
         # empty_document exactly like the old dict path.
         doc_ids = batch["doc_id"].to_pylist()
-        reasons = batch["reject_reason"].to_pylist()
         spans_col = batch["spans"]
         if isinstance(spans_col, pa.ChunkedArray):
             spans_col = spans_col.combine_chunks()
@@ -158,43 +158,32 @@ class ExtractDocs:
 
         # columnar accumulation: flat span-field lists + per-doc lengths
         # become ONE ListArray at the end (no per-span result dicts)
-        cols: dict[str, list] = {n: [] for n in RESULT_SCHEMA.names
-                                 if n != "spans"}
-        metric_keys = [n for n in RESULT_SCHEMA.names
-                       if n not in ("doc_id", "spans", "reject_reason",
-                                    "proc_ms")]
         out_k: list = []
         out_t: list = []
         out_r: list = []
         out_o: list = []
         lengths: list[int] = []
-
-        def emit(doc_id, metrics, reason="", proc_ms=0.0, n_spans=0):
-            cols["doc_id"].append(doc_id)
-            lengths.append(n_spans)
-            for k in metric_keys:
-                cols[k].append(metrics[k])
-            cols["reject_reason"].append(reason)
-            cols["proc_ms"].append(round(proc_ms, 3))
-
-        for i, (doc_id, reason) in enumerate(zip(doc_ids, reasons)):
-            if reason:
-                emit(doc_id, _ZERO_METRICS, reason)
-                continue
+        metrics: list[dict] = []
+        reasons: list[str] = []
+        proc_ms: list[float] = []
+        for i, doc_id in enumerate(doc_ids):
             lo, hi = off[i], off[i + 1]
             t0 = time.monotonic()
             res = extract_doc_cols(doc_id, f_kind[lo:hi], f_text[lo:hi],
                                    f_ref[lo:hi], f_off[lo:hi], self.cfg)
-            ms = (time.monotonic() - t0) * 1000.0
+            proc_ms.append(round((time.monotonic() - t0) * 1000.0, 3))
             if res["ok"]:
                 out_k.extend(res["kinds"])
                 out_t.extend(res["texts"])
                 out_r.extend(res["refs"])
                 out_o.extend(res["offsets"])
-                emit(doc_id, res["metrics"], proc_ms=ms,
-                     n_spans=len(res["kinds"]))
-            else:  # defense in depth if validate was skipped upstream
-                emit(doc_id, _ZERO_METRICS, res["reason"], ms)
+                lengths.append(len(res["kinds"]))
+                metrics.append(res["metrics"])
+                reasons.append("")
+            else:
+                lengths.append(0)
+                metrics.append(_ZERO_METRICS)
+                reasons.append(res["reason"])
 
         st = SPANS_TYPE.value_type
         struct = pa.StructArray.from_arrays(
@@ -205,11 +194,8 @@ class ExtractDocs:
             names=["kind", "text", "media_ref", "offset"])
         list_offs = pa.array(
             np.concatenate(([0], np.cumsum(lengths))).astype(np.int32))
-        spans_arr = pa.ListArray.from_arrays(list_offs, struct)
-        arrays = [spans_arr if f.name == "spans"
-                  else pa.array(cols[f.name], type=f.type)
-                  for f in RESULT_SCHEMA]
-        return pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA)
+        return _result_table(doc_ids, pa.ListArray.from_arrays(
+            list_offs, struct), metrics, reasons, proc_ms)
 
 
 def explode_spans(batch: pa.Table) -> pa.Table:
@@ -270,15 +256,9 @@ class ExtractSpans:
             cols["quality"].append(meta["quality"])
             cols["retried"].append(int(meta["retried"]))
             cols["confs"].append(meta["confs"])
-            cols["kept_lines"].append(st.kept_lines)
-            cols["min_length_lines"].append(st.min_length_lines)
-            cols["forbidden_lines"].append(st.forbidden_lines)
-            cols["low_alpha_lines"].append(st.low_alpha_lines)
-            cols["high_digit_lines"].append(st.high_digit_lines)
-            cols["non_ascii_lines"].append(st.non_ascii_lines)
+            for f in _SPAN_STATS:
+                cols[f].append(getattr(st, f))
             cols["num_ents"].append(count_entities(cleaned))
-            cols["clean_chars"].append(st.total_clean_chars)
-            cols["original_chars"].append(st.total_original_chars)
         arrays = [batch[f.name] if f.name in passthrough
                   else pa.array(cols[f.name], type=f.type)
                   for f in SPAN_RESULT_SCHEMA]
@@ -302,171 +282,52 @@ def add_reassembly_bucket(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
 
 def reassemble_bucket(group: pa.Table,
                       cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:
-    """Rebuild every document in one bucket, columnar.
+    """Rebuild every document in one bucket: the RESULT_SCHEMA rows
+    ``ExtractDocs`` emits for the same docs.
 
     Sort by (doc_id, offset) once; span lists become ONE ListArray built
-    from the per-doc boundary offsets (no per-span dicts); integer
-    metrics sum via np.add.reduceat (order-free, exact).  The float
-    quality/conf accumulation walks spans in offset order per doc — the
-    same sequential adds as extract_doc, so means match the nested path
-    bit for bit.  A rejected doc's sentinel row becomes the zero-metric
-    row ExtractDocs emits for it.
+    from the per-doc boundary offsets (no per-span dicts).  Each doc's
+    ``CleanStats`` and entity count are ``np.add.reduceat`` sums of the
+    per-span columns (integer, order-free); the kernel's ``doc_metrics``
+    then rolls the doc up over its spans in offset order, exactly as the
+    nested path does.  A rejected doc's sentinel row becomes the
+    zero-metric row ``ExtractDocs`` emits for it.
     """
     import numpy as np
 
     rejected = pc.not_equal(group["reject_reason"], "")
     sentinels = group.filter(rejected)
-    rejects = pa.Table.from_pylist(
-        [_result_row(d, [], _ZERO_METRICS, r) for d, r in zip(
-            sentinels["doc_id"].to_pylist(),
-            sentinels["reject_reason"].to_pylist())],
-        schema=RESULT_SCHEMA)
-    if sentinels.num_rows:
-        group = group.filter(pc.invert(rejected))
-        if not group.num_rows:
-            return rejects
-
-    g = group.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
+    g = group.filter(pc.invert(rejected)).sort_by(
+        [("doc_id", "ascending"), ("offset", "ascending")])
     n = g.num_rows
     doc_np = np.asarray(g["doc_id"].to_pylist(), dtype=object)
-    change = np.nonzero(doc_np[1:] != doc_np[:-1])[0] + 1
-    starts = np.concatenate([[0], change]).astype(np.int64)
-    bounds = np.concatenate([starts, [n]])
-
-    def one(col):
-        a = g[col].combine_chunks()
-        return (pa.concat_arrays(a.chunks) if isinstance(a, pa.ChunkedArray)
-                else a)
-
-    struct = pa.StructArray.from_arrays(
-        [one("kind"), one("text"), one("media_ref"), one("offset")],
-        names=["kind", "text", "media_ref", "offset"])
-    spans_arr = pa.ListArray.from_arrays(
-        pa.array(bounds, pa.int32()), struct)
+    starts = np.flatnonzero(np.concatenate(
+        ([n > 0], doc_np[1:] != doc_np[:-1])))
+    bounds = np.append(starts, n)
 
     def rseg(col):
-        a = g[col].to_numpy(zero_copy_only=False)
-        return np.add.reduceat(a, starts)
+        return np.add.reduceat(g[col].to_numpy(), starts).tolist()
 
-    kept = rseg("kept_lines")
-    minl = rseg("min_length_lines")
-    forb = rseg("forbidden_lines")
-    lowa = rseg("low_alpha_lines")
-    hidg = rseg("high_digit_lines")
-    nonas = rseg("non_ascii_lines")
-    ents = rseg("num_ents")
-    cchars = rseg("clean_chars")
-    ochars = rseg("original_chars")
-    dropped = minl + forb + lowa + hidg + nonas
-    n_spans = (bounds[1:] - bounds[:-1]).astype(np.int64)
+    kinds, quals, retried, confs = (
+        g[c].to_pylist() for c in ("kind", "quality", "retried", "confs"))
+    stats = zip(*(rseg(f) for f in _SPAN_STATS))
+    metrics = [
+        doc_metrics(kinds[s:e], quals[s:e], retried[s:e], confs[s:e],
+                    CleanStats(**dict(zip(_SPAN_STATS, st))), ents)
+        for s, e, st, ents in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                                  stats, rseg("num_ents"))]
 
-    kinds_l = g["kind"].to_pylist()
-    qual_l = g["quality"].to_pylist()
-    retr_l = g["retried"].to_pylist()
-    conf_l = g["confs"].to_pylist()
-    ms_l = g["span_ms"].to_pylist()
-    media_spans, qmeans, retries, hists, procs = [], [], [], [], []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        qs: list[float] = []
-        cs: list[float] = []
-        rt = 0
-        tms = 0.0
-        for i in range(s, e):
-            tms += ms_l[i]
-            if kinds_l[i] == "media":
-                qs.append(qual_l[i])
-                cs.extend(conf_l[i])
-                rt += retr_l[i]
-        media_spans.append(len(qs))
-        qmeans.append(round(sum(qs) / len(qs), 4) if qs else -1.0)
-        retries.append(rt)
-        hists.append(conf_histogram(cs))
-        procs.append(round(tms, 3))
-
-    ndocs = len(starts)
-    cols = {
-        "doc_id": pa.array(doc_np[starts], pa.string()),
-        "spans": spans_arr,
-        "n_spans": pa.array(n_spans, pa.int64()),
-        "media_spans": pa.array(media_spans, pa.int64()),
-        "blocks_kept": pa.array(kept, pa.int64()),
-        "blocks_dropped": pa.array(dropped, pa.int64()),
-        "clean_chars": pa.array(cchars, pa.int64()),
-        "original_chars": pa.array(ochars, pa.int64()),
-        "min_length_lines": pa.array(minl, pa.int64()),
-        "forbidden_lines": pa.array(forb, pa.int64()),
-        "low_alpha_lines": pa.array(lowa, pa.int64()),
-        "high_digit_lines": pa.array(hidg, pa.int64()),
-        "non_ascii_lines": pa.array(nonas, pa.int64()),
-        "num_ents": pa.array(ents, pa.int64()),
-        "quality_mean": pa.array(qmeans, pa.float64()),
-        "retried_spans": pa.array(retries, pa.int64()),
-        "conf_hist": pa.array(hists, pa.list_(pa.int64())),
-        "reject_reason": pa.array([""] * ndocs, pa.string()),
-        "proc_ms": pa.array(procs, pa.float64()),
-    }
-    arrays = [cols[f.name].cast(f.type) if cols[f.name].type != f.type
-              else cols[f.name] for f in RESULT_SCHEMA]
-    return pa.concat_tables(
-        [pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA), rejects])
-
-
-def reassemble_group(group: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:
-    """Rebuild one document from its processed spans (sorted by offset).
-
-    Metric aggregation mirrors extract_doc exactly — including summing
-    media qualities in offset order so float means match bit for bit.
-    (Kept as the single-doc reference implementation; the pipeline uses
-    the bucketized ``reassemble_bucket``, tested equal against this.)
-    """
-    # columnar: sort_by + per-column reads instead of sorted(to_pylist)
-    # row dicts (round-2 VERDICT #9).  Integer metric sums are
-    # order-free; the float quality/conf accumulation below stays in
-    # offset order so means match the nested path bit for bit.
-    g = group.sort_by("offset")
-    doc_id = g["doc_id"][0].as_py()
-    kinds = g["kind"].to_pylist()
-    texts = g["text"].to_pylist()
-    media_refs = g["media_ref"].to_pylist()
-    offsets = g["offset"].to_pylist()
-    spans = [{"kind": k, "text": t, "media_ref": m, "offset": o}
-             for k, t, m, o in zip(kinds, texts, media_refs, offsets)]
-    agg = {k: int(pc.sum(g[k]).as_py() or 0)
-           for k in ("kept_lines", "min_length_lines", "forbidden_lines",
-                     "low_alpha_lines", "high_digit_lines",
-                     "non_ascii_lines", "num_ents", "clean_chars",
-                     "original_chars")}
-    total_ms = float(sum(g["span_ms"].to_pylist()))
-    qualities, confs = [], []
-    retries = 0
-    q_col = g["quality"].to_pylist()
-    r_col = g["retried"].to_pylist()
-    c_col = g["confs"].to_pylist()
-    for i, kind in enumerate(kinds):
-        if kind == "media":
-            qualities.append(q_col[i])
-            confs.extend(c_col[i])
-            retries += r_col[i]
-    dropped = (agg["min_length_lines"] + agg["forbidden_lines"] +
-               agg["low_alpha_lines"] + agg["high_digit_lines"] +
-               agg["non_ascii_lines"])
-    metrics = {
-        "n_spans": len(spans),
-        "media_spans": len(qualities),
-        "blocks_kept": agg["kept_lines"],
-        "blocks_dropped": dropped,
-        "clean_chars": agg["clean_chars"],
-        "original_chars": agg["original_chars"],
-        "min_length_lines": agg["min_length_lines"],
-        "forbidden_lines": agg["forbidden_lines"],
-        "low_alpha_lines": agg["low_alpha_lines"],
-        "high_digit_lines": agg["high_digit_lines"],
-        "non_ascii_lines": agg["non_ascii_lines"],
-        "num_ents": agg["num_ents"],
-        "quality_mean": round(sum(qualities) / len(qualities), 4) if qualities else -1.0,
-        "retried_spans": retries,
-        "conf_hist": conf_histogram(confs),
-    }
-    return pa.Table.from_pylist(
-        [_result_row(doc_id, spans, metrics, "", proc_ms=total_ms)],
-        schema=RESULT_SCHEMA)
+    # rejected docs follow, each with an empty span list (the last
+    # boundary repeated)
+    n_rej = sentinels.num_rows
+    struct = pa.StructArray.from_arrays(
+        [g[c].combine_chunks() for c in ("kind", "text", "media_ref",
+                                         "offset")],
+        names=["kind", "text", "media_ref", "offset"])
+    spans = pa.ListArray.from_arrays(
+        pa.array(np.append(bounds, [n] * n_rej), pa.int32()), struct)
+    doc_ids = doc_np[starts].tolist() + sentinels["doc_id"].to_pylist()
+    reasons = [""] * len(metrics) + sentinels["reject_reason"].to_pylist()
+    proc_ms = [round(ms, 3) for ms in rseg("span_ms")] + [0.0] * n_rej
+    return _result_table(doc_ids, spans, metrics + [_ZERO_METRICS] * n_rej,
+                         reasons, proc_ms)

@@ -2,14 +2,15 @@
 
 Ray-native restatement of ``validate_document`` (ocr_worker.py:170-181 +
 the MAX_NUM_PAGES guard :161-167): instead of raising per document, the
-stage annotates every row with a ``reject_reason`` ('' = processable) and
-``n_spans`` so invalid rows can be routed to the failed/lineage table and
-``n_spans`` can drive the size-bucketed skew split — all computed with
-pyarrow.compute / numpy over the flattened span arrays, no per-row Python.
+stage annotates every row with a ``reject_reason`` ('' = processable) —
+computed with pyarrow.compute / numpy over the flattened span arrays, no
+per-row Python.  The exploded path runs it before ``explode_spans``, which
+turns each rejected doc into one sentinel row; the nested path validates
+inside the kernel instead (``extract_doc_cols``).
 
 MUST stay semantics-equal to the scalar ``kernels.extract.validate_spans``
-(the golden oracle's check); tests/test_pipeline.py asserts row-for-row
-agreement on the archetype corpus.
+(the golden oracle's and the nested path's check); tests/test_pipeline.py
+asserts row-for-row agreement on the archetype corpus.
 """
 
 from __future__ import annotations
@@ -106,5 +107,4 @@ def validate_batch(batch: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.
     reasons[doc_null | (n_spans == 0)] = R_EMPTY
 
     return batch.append_column(
-        "reject_reason", pa.array(reasons, type=pa.string())
-    ).append_column("n_spans", pa.array(n_spans, type=pa.int64()))
+        "reject_reason", pa.array(reasons, type=pa.string()))

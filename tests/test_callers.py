@@ -34,9 +34,6 @@ ALLOWLIST = {
 # (module, definition) -> the test that compares live code against it
 # (a reference implementation), or that uses it as a test helper
 DEF_ALLOWLIST = {
-    ("ocr_ray.stages.extract_stage", "reassemble_group"):
-        "test_pipeline.py::TestBucketizedReassembly::"
-        "test_bucket_equals_per_doc_reference",
     ("ocr_ray.kernels.extract", "validate_spans"):
         "test_pipeline.py::TestValidateVectorized::"
         "test_vector_scalar_agreement",

@@ -28,7 +28,7 @@ def test_fields_are_the_knobs_callers_set():
         "max_spans_per_doc", "min_line_length", "percent_max_numeric",
         "percent_max_non_ascii", "min_quality", "span_soft_timeout_ms",
         "pipeline_mode", "explode_threshold", "extract_batch_size",
-        "span_batch_size", "reassembly_buckets"]
+        "span_batch_size"]
 
 
 def test_explode_threshold_still_checked():

@@ -6,22 +6,35 @@ import pytest
 
 from ocr_ray.config import PipelineConfig
 from ocr_ray.golden import assert_span_equal, spans_fingerprint
-from ocr_ray.pipelines.extract_pipeline import build_extracted, run_extraction
+from ocr_ray.pipelines.extract_pipeline import run_extraction
 from ocr_ray.stages.validate import validate_batch
 from ocr_ray.kernels.extract import validate_spans
 
 
-@pytest.fixture(scope="class")
-def pipeline_output(request, ray_session, ray_executions, small_corpus_path,
-                    tmp_path_factory):
-    """One run_extraction in the class's ``mode``: (output dir, summary,
-    the Ray executions it started)."""
-    mode = request.cls.mode
-    out = str(tmp_path_factory.mktemp(f"pipe_out_{mode}"))
-    with ray_executions() as execs:
-        summary = run_extraction(small_corpus_path, out,
-                                 PipelineConfig(pipeline_mode=mode))
-    return out, summary, execs
+@pytest.fixture(scope="module")
+def pipeline_runs(ray_session, ray_executions, small_corpus_path,
+                  tmp_path_factory):
+    """``pipeline_runs(mode)``: the module's one run_extraction of the
+    small corpus in ``mode`` — (output dir, summary, the Ray executions
+    it started)."""
+    runs = {}
+
+    def run(mode):
+        if mode not in runs:
+            out = str(tmp_path_factory.mktemp(f"pipe_out_{mode}"))
+            with ray_executions() as execs:
+                summary = run_extraction(small_corpus_path, out,
+                                         PipelineConfig(pipeline_mode=mode))
+            runs[mode] = out, summary, execs
+        return runs[mode]
+
+    return run
+
+
+@pytest.fixture
+def pipeline_output(request, pipeline_runs):
+    """The run in the class's ``mode``."""
+    return pipeline_runs(request.cls.mode)
 
 
 class TestPipelineEquality:
@@ -83,27 +96,20 @@ class TestPhysicalModeEquality:
     proves order lives in the data, not the execution (nested is
     covered above, the bucketed split in test_bucketize.py)."""
 
-    def _run(self, corpus_path, cfg, golden):
-        import pyarrow as pa
+    def test_all_exploded_equals_golden(self, pipeline_runs, golden_result):
+        import pyarrow.compute as pc
 
-        from ocr_ray.schema import EXTRACTED_SCHEMA
-        from ocr_ray.sources.readers import read_documents
-
-        tbl = build_extracted(read_documents(corpus_path), cfg).to_pandas()
-        ok = tbl[tbl["reject_reason"] == ""]
-        actual = pa.Table.from_pylist(
-            ok[["doc_id", "spans"]].to_dict("records"), schema=EXTRACTED_SCHEMA)
-        assert_span_equal(actual, golden["extracted"])
-        rejects = tbl[tbl["reject_reason"] != ""]
-        assert sorted(zip(rejects["doc_id"], rejects["reject_reason"])) == \
+        out, _, _ = pipeline_runs("exploded")
+        tbl = pads.dataset(f"{out}/extracted").to_table(
+            columns=["doc_id", "spans", "reject_reason"])
+        ok = pc.equal(tbl["reject_reason"], "")
+        assert_span_equal(tbl.filter(ok).select(["doc_id", "spans"]),
+                          golden_result["extracted"])
+        rejects = tbl.filter(pc.invert(ok))
+        assert sorted(zip(rejects["doc_id"].to_pylist(),
+                          rejects["reject_reason"].to_pylist())) == \
             sorted((r["doc_id"], r["reason"])
-                   for r in golden["failed"].to_pylist())
-
-    def test_all_exploded_equals_golden(self, ray_session, small_corpus_path,
-                                        golden_result):
-        self._run(small_corpus_path,
-                  PipelineConfig(pipeline_mode="exploded"),
-                  golden_result)
+                   for r in golden_result["failed"].to_pylist())
 
 
 class TestPhysicalPlan:
@@ -158,51 +164,88 @@ class TestValidateVectorized:
                 f"row {i} ({row['doc_id']}): vector={reasons[i]!r} "
                 f"scalar={expected!r}")
 
-    def test_n_spans_column(self, small_corpus):
-        out = validate_batch(small_corpus)
-        ns = out.column("n_spans").to_pylist()
-        for i, row in enumerate(small_corpus.to_pylist()):
-            assert ns[i] == (len(row["spans"]) if row["spans"] is not None else 0)
+
+def _rows(tbl):
+    """A result table's rows by doc_id, wall-clock ``proc_ms`` dropped."""
+    return tbl.drop_columns(["proc_ms"]).sort_by("doc_id").to_pylist()
+
+
+def _reassembled(spans, n_buckets):
+    """``reassemble_bucket`` over each of ``n_buckets`` hash buckets of
+    ``ExtractSpans`` output, concatenated."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from ocr_ray.stages.extract_stage import (
+        add_reassembly_bucket,
+        reassemble_bucket,
+    )
+
+    tagged = add_reassembly_bucket(spans, n_buckets=n_buckets)
+    return pa.concat_tables(
+        [reassemble_bucket(tagged.filter(pc.equal(tagged["bucket"], b)))
+         for b in range(n_buckets)])
 
 
 class TestBucketizedReassembly:
-    def test_bucket_equals_per_doc_reference(self, ray_session,
-                                             small_corpus):
-        """reassemble_bucket (the pipeline path) must be row-for-row
-        equal to the single-doc reference reassemble_group, including
+    def test_bucket_equals_per_doc_reference(self, small_corpus):
+        """reassemble_bucket over 3 buckets (the pipeline path) must be
+        row-for-row equal to ExtractDocs on the accepted docs, including
         float quality means (offset-order summation)."""
-        import pyarrow as pa
+        import pyarrow.compute as pc
 
         from ocr_ray.stages.extract_stage import (
+            ExtractDocs,
             ExtractSpans,
-            add_reassembly_bucket,
             explode_spans,
-            reassemble_bucket,
-            reassemble_group,
         )
-        from ocr_ray.stages.validate import validate_batch
 
-        ok = validate_batch(small_corpus)
-        ok = ok.filter(pa.compute.equal(ok["reject_reason"], ""))
-        spans = ExtractSpans()(explode_spans(ok))
-        bucketed = add_reassembly_bucket(spans, n_buckets=3)
-        parts = []
-        for b in range(3):
-            grp = bucketed.filter(pa.compute.equal(bucketed["bucket"], b))
-            if grp.num_rows:
-                parts.append(reassemble_bucket(grp))
-        got = pa.concat_tables(parts).sort_by("doc_id").to_pylist()
-        want = []
-        for doc_id in set(spans["doc_id"].to_pylist()):
-            grp = spans.filter(pa.compute.equal(spans["doc_id"], doc_id))
-            want.extend(reassemble_group(grp).to_pylist())
-        want.sort(key=lambda r: r["doc_id"])
+        validated = validate_batch(small_corpus)
+        ok = validated.filter(pc.equal(validated["reject_reason"], ""))
+        got = _rows(_reassembled(ExtractSpans()(explode_spans(ok)), 3))
+        want = _rows(ExtractDocs()(ok))
         assert len(got) == len(want) > 0
-        for g, w in zip(got, want):
-            for k in w:
-                if k == "proc_ms":
-                    continue  # wall-clock timing, not comparable
-                assert g[k] == w[k], (g["doc_id"], k)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_exploded_equals_nested_any_bucket_count(self, seed):
+        """Ray-free differential: validate_batch -> explode_spans ->
+        ExtractSpans -> reassemble_bucket over 1, 3 and 7 buckets gives
+        ExtractDocs's rows, on a corpus with a mega doc and all three
+        reject archetypes."""
+        from ocr_ray.fixtures import documents_table
+        from ocr_ray.kernels.extract import R_EMPTY, R_MALFORMED, R_TOO_MANY
+        from ocr_ray.stages.extract_stage import (
+            ExtractDocs,
+            ExtractSpans,
+            explode_spans,
+        )
+
+        table = documents_table(40, seed=seed)
+        want = _rows(ExtractDocs()(table))
+        assert {R_EMPTY, R_MALFORMED, R_TOO_MANY} <= \
+            {r["reject_reason"] for r in want}
+        assert max(r["n_spans"] for r in want) >= 300  # a mega doc
+        spans = ExtractSpans()(explode_spans(validate_batch(table)))
+        for n_buckets in (1, 3, 7):
+            assert _rows(_reassembled(spans, n_buckets)) == want, n_buckets
+
+    def test_nested_validates_once_in_the_kernel(self, small_corpus,
+                                                 monkeypatch):
+        """ExtractDocs never runs the vectorized validate stage: the
+        kernel's own check is the nested path's only validation."""
+        import ocr_ray.stages.validate as validate_mod
+        from ocr_ray.stages.extract_stage import ExtractDocs
+
+        want = _rows(ExtractDocs()(small_corpus))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ExtractDocs called validate_batch")
+
+        monkeypatch.setattr(validate_mod, "validate_batch", refuse)
+        got = _rows(ExtractDocs()(small_corpus))
+        assert got == want
+        assert any(r["reject_reason"] for r in got)
 
     def test_rejects_ride_inline_like_nested(self, small_corpus):
         """In process, rejects included: validate -> explode_spans ->
@@ -227,11 +270,8 @@ class TestBucketizedReassembly:
         assert sorted(sentinels["doc_id"].to_pylist()) == \
             sorted(rejected["doc_id"].to_pylist())
 
-        def rows(tbl):
-            return tbl.drop_columns(["proc_ms"]).sort_by("doc_id").to_pylist()
-
-        assert rows(reassemble_bucket(ExtractSpans()(spans))) == \
-            rows(ExtractDocs()(small_corpus))
+        assert _rows(reassemble_bucket(ExtractSpans()(spans))) == \
+            _rows(ExtractDocs()(small_corpus))
 
 
 class TestAccounting:
