@@ -86,7 +86,8 @@ class RobotsRules:
             # permissive default on garbage, like major crawlers
             self.groups = {}
 
-    def _group_for(self, agent: str):
+    def _group_for(self, agent: str) -> str | None:
+        """The user-agent token of the group that governs ``agent``."""
         al = agent.lower()
         best, best_len = None, -1
         for ua in self.groups:
@@ -94,7 +95,7 @@ class RobotsRules:
                 best, best_len = ua, len(ua)
         if best is None and "*" in self.groups:
             best = "*"
-        return self.groups.get(best, [])
+        return best
 
     def allowed(self, path: str, agent: str = "*") -> bool:
         """Longest-match REP decision for one URL path (include the
@@ -102,7 +103,7 @@ class RobotsRules:
         if not path.startswith("/"):
             path = "/" + path
         verdict, best_len = True, -1
-        for allow, pat, rx in self._group_for(agent):
+        for allow, pat, rx in self.groups.get(self._group_for(agent), []):
             if rx.match(path) and len(pat) > best_len:
                 verdict, best_len = allow, len(pat)
             elif rx.match(path) and len(pat) == best_len and allow:
@@ -110,21 +111,19 @@ class RobotsRules:
         return verdict
 
     def delay_for(self, agent: str = "*") -> float | None:
-        al = agent.lower()
-        best, best_len = None, -1
-        for ua, d in self.crawl_delay.items():
-            if (ua == "*" and best is None) or \
-                    (ua != "*" and ua in al and len(ua) > best_len):
-                best, best_len = d, len(ua) if ua != "*" else best_len
-        return best
+        """Crawl-delay of the group that governs ``agent`` (None if that
+        group sets none — the ``*`` group's does not apply to it)."""
+        return self.crawl_delay.get(self._group_for(agent))
 
 
 def audit_crawl_compliance(ds, robots_by_domain: dict[str, str],
                            url_col: str = "url", agent: str = "*"):
     """Adds ``robots_allowed:bool`` per row — was fetching this URL
-    permitted by its domain's robots.txt?  Domains absent from the map
-    are allowed (no robots.txt == no restrictions).  The rules compile
-    once per task from the broadcast map; matching is map-only."""
+    permitted by its host's robots.txt?  The map may be keyed by full
+    hostname (robots.txt is per host) or by registrable domain; the
+    hostname is tried first.  Hosts absent from the map are allowed (no
+    robots.txt == no restrictions).  The rules compile once per task
+    from the broadcast map; matching is map-only."""
     from .urlnorm import registrable_domain
 
     compiled: dict[str, RobotsRules] = {}
@@ -138,12 +137,16 @@ def audit_crawl_compliance(ds, robots_by_domain: dict[str, str],
             if not u:
                 out.append(True)
                 continue
-            dom = registrable_domain(u)
-            rules = compiled.get(dom)
+            try:
+                parts = urlsplit(u if "://" in u else "http://" + u)
+            except ValueError:  # unparseable URL: no host, no rules
+                out.append(True)
+                continue
+            rules = (compiled.get((parts.hostname or "").rstrip("."))
+                     or compiled.get(registrable_domain(u)))
             if rules is None:
                 out.append(True)
                 continue
-            parts = urlsplit(u if "://" in u else "http://" + u)
             path = parts.path or "/"
             if parts.query:
                 path += "?" + parts.query

@@ -449,8 +449,9 @@ def doc_summaries(sf_dir: str):
 def semantic_keyword_hits(sf_dir: str):
     """Vector (one-class) keyword search over documents — A6/J2 parity
     (vector_searcher.py semantics, deterministic hash embeddings;
-    rows-only oracle).  Searcher is built once per actor from the
-    broadcast keyword list."""
+    rows-only oracle).  The searcher is built once, on the driver, from
+    the handful of embedded keywords and ships with the callable to
+    plain Ray Data tasks."""
     from ray.data.aggregate import Count, Sum
 
     class Searcher:
@@ -476,8 +477,7 @@ def semantic_keyword_hits(sf_dir: str):
                 ("score", pa.float64())]))
 
     ds = _read(sf_dir, ["doc_id", "text"])
-    return ds.map_batches(Searcher, batch_format="pyarrow", batch_size=256,
-                          concurrency=(1, 8), num_cpus=1)
+    return ds.map_batches(Searcher(), batch_format="pyarrow", batch_size=256)
 
 
 def degrade_payload(extracted_ds, level: int = 1):

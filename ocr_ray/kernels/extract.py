@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from .cleaner import CleanStats, clean_lines
 from .htmlx import extract_main_text
@@ -178,13 +180,12 @@ def extract_span(
     return cleaned, {"quality": q, "retried": retried, "confs": confs}
 
 
-def conf_histogram(confs: list[float], bins: int = 10) -> list[int]:
-    """Confidence histogram, bins over [0, 1]."""
-    hist = [0] * bins
-    for c in confs:
-        idx = min(int(c * bins), bins - 1)
-        hist[idx] += 1
-    return hist
+def conf_histogram(confs, bins: int = 10) -> list[int]:
+    """Confidence histogram, bins over [0, 1] (1.0 lands in the last)."""
+    if len(confs) == 0:
+        return [0] * bins
+    idx = (np.asarray(confs, dtype=np.float64) * bins).astype(np.int64)
+    return np.bincount(np.clip(idx, 0, bins - 1), minlength=bins).tolist()
 
 
 def extract_doc(
@@ -236,7 +237,7 @@ def extract_doc_cols(
     out_texts: list[str] = []
     qualities: list[float] = []
     retried: list[bool] = []
-    confs: list[list[float]] = []
+    confs: list[float] = []
     st = CleanStats()
     num_ents = 0
     for i in order:
@@ -246,7 +247,7 @@ def extract_doc_cols(
         out_texts.append(cleaned)
         qualities.append(meta["quality"])
         retried.append(meta["retried"])
-        confs.append(meta["confs"])
+        confs.extend(meta["confs"])
     return {"ok": True, "doc_id": doc_id,
             "kinds": out_kinds,
             "texts": out_texts,
@@ -260,7 +261,8 @@ def doc_metrics(kinds, qualities, retried, confs, stats: CleanStats,
                 num_ents: int) -> dict:
     """The per-document metric columns (``METRICS_FIELDS`` minus doc_id)
     from a doc's span results: parallel per-span lists in OFFSET order,
-    the doc's merged line stats and its entity count.
+    the doc's flat OCR confidences (only media spans carry any), its
+    merged line stats and its entity count.
 
     The one rollup both physical paths call (``extract_doc_cols`` and the
     exploded ``reassemble_bucket``).  Media qualities are summed in offset
@@ -282,5 +284,5 @@ def doc_metrics(kinds, qualities, retried, confs, stats: CleanStats,
         "num_ents": num_ents,
         "quality_mean": round(sum(qs) / len(qs), 4) if qs else -1.0,
         "retried_spans": sum(int(retried[i]) for i in media),
-        "conf_hist": conf_histogram([c for i in media for c in confs[i]]),
+        "conf_hist": conf_histogram(confs),
     }

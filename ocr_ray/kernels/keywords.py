@@ -9,10 +9,11 @@ matches resolve longest-first (spacy.util.filter_spans semantics used at
 doc_analysis.py:177: sort by length desc then start asc, greedy
 non-overlap) — reimplemented in ``filter_spans``.
 
-The compiled matcher is the classic Ray "broadcast small side": built once
-per actor in ``__init__`` from the (≤ a few hundred row) keyword list, and
+The compiled matcher is the classic Ray "broadcast small side": built from
+the (≤ a few hundred row) keyword list once per worker process and
 version-keyed by ``keywords_hash`` exactly like the reference's
-LAST_KEYWORDS_HASH cache (doc_analysis.py:28,321-335).
+LAST_KEYWORDS_HASH cache (doc_analysis.py:28,321-335) — the cache is
+``stages/analyze._matcher``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .textnorm import fold_diacritics, normalize_word, tokenize_with_offsets
 
 # Static synonym table standing in for the reference's rowordnet store
 # (synonyms.py:3-28): deterministic, no external model, versioned via
-# SYNONYM_TABLE_VERSION (folded into the matcher version hash so a table
-# change rebuilds the actor pools, like a keyword-list change).
+# SYNONYM_TABLE_VERSION (folded into the matcher version key so a table
+# change recompiles the matcher, like a keyword-list change).
 SYNONYM_TABLE_VERSION = "syn-1"
 SYNONYMS: dict[str, frozenset] = {
     "query": frozenset({"search", "lookup"}),
@@ -95,8 +96,7 @@ def filter_spans(spans: list[tuple[int, int, str]]) -> list[tuple[int, int, str]
 class KeywordMatcher:
     """Compiled matcher for one keyword-list version."""
 
-    def __init__(self, keywords: list[str], version_hash: str = ""):
-        self.version_hash = version_hash
+    def __init__(self, keywords: list[str]):
         self.keywords = sorted({k.strip() for k in keywords if k.strip()})
         # first-token variant -> [(keyword, [variant_set per token])]
         self._index: dict[str, list[tuple[str, list[frozenset]]]] = defaultdict(list)
@@ -139,7 +139,7 @@ class KeywordMatcher:
                     else:
                         # tail only: j = 0 is proven by candidacy itself
                         candn.append((kw, n, tuple(vsets[1:])))
-            if len(self._tok_cache) >= 1_000_000:  # bound actor memory
+            if len(self._tok_cache) >= 1_000_000:  # bound worker memory
                 self._tok_cache.clear()
             info = (tv, hits1, candn)
             self._tok_cache[token] = info

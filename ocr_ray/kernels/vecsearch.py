@@ -14,8 +14,8 @@ shape with deterministic, dependency-free pieces:
 * candidate windows: all 2..5-token n-grams (vector_searcher.py:12-17),
   longest-match de-overlap via kernels.keywords.filter_spans.
 
-Everything is a pure function of the keyword list, so the broadcast /
-actor-state pattern is identical to the exact matcher's.
+Everything is a pure function of the keyword list, so the searcher is
+built once on the driver and shipped to the tasks with their callable.
 """
 
 from __future__ import annotations

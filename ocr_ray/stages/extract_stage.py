@@ -308,14 +308,20 @@ def reassemble_bucket(group: pa.Table,
     def rseg(col):
         return np.add.reduceat(g[col].to_numpy(), starts).tolist()
 
-    kinds, quals, retried, confs = (
-        g[c].to_pylist() for c in ("kind", "quality", "retried", "confs"))
+    kinds, quals, retried = (
+        g[c].to_pylist() for c in ("kind", "quality", "retried"))
+    # each doc's flat confidences: one numpy slice at its list offsets
+    confs = g["confs"].combine_chunks()
+    conf_flat = pc.list_flatten(confs).to_numpy()
+    conf_off = confs.offsets.to_numpy()
+    conf_off = (conf_off - conf_off[0])[bounds].tolist()
     stats = zip(*(rseg(f) for f in _SPAN_STATS))
     metrics = [
-        doc_metrics(kinds[s:e], quals[s:e], retried[s:e], confs[s:e],
+        doc_metrics(kinds[s:e], quals[s:e], retried[s:e], conf_flat[cs:ce],
                     CleanStats(**dict(zip(_SPAN_STATS, st))), ents)
-        for s, e, st, ents in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
-                                  stats, rseg("num_ents"))]
+        for s, e, cs, ce, st, ents in zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(), conf_off[:-1],
+            conf_off[1:], stats, rseg("num_ents"))]
 
     # rejected docs follow, each with an empty span list (the last
     # boundary repeated)

@@ -2,22 +2,25 @@
 
 A large-scale training-data pipeline carries media as ``binary`` columns
 with typed metadata and runs decode / feature-extract / resize /
-frame-sample as actor-pool map_batches stages.  The actual codecs
-(Pillow/ffmpeg/torchaudio) are NOT in this container, so the decode step
-is pluggable: ``codec="stub"`` raises NotImplementedError (the production
-hook), ``codec="fake"`` is a deterministic pure-function decoder used to
-make the Ray-side plumbing — schema, batch sizing for large binary rows,
-actor signature, output layout — real and testable.
+frame-sample as map_batches stages.  Each stage is a stateless callable
+that stores only its codec and stride, so Ray Data ships the constructed
+instance to plain tasks (no actor pool) and fuses it with its neighbours.
+The actual codecs (Pillow/ffmpeg/torchaudio) are not installed, so the
+decode step is pluggable: ``codec="stub"`` raises NotImplementedError
+(the production hook), ``codec="fake"`` is a deterministic pure-function
+decoder used to make the Ray-side plumbing — schema, batch sizing for
+large binary rows, callable signature, output layout — real and
+testable.
 
 Schema:
     media_ref: string, media_type: "image"|"audio", payload: binary,
     meta: struct<width int32, height int32, sample_rate int32,
                  n_frames int32>
 
-Scale notes: binary rows are WIDE — batch_size stays small (default 32)
-so batch x concurrency fits worker heaps, and DataContext
-target_max_block_size should be raised for very large payloads rather
-than letting blocks split absurdly small (ray guide "Memory-aware").
+Scale notes: binary rows are WIDE — batches stay small (16-32 rows) so
+a batch fits a worker heap, and DataContext target_max_block_size
+should be raised for very large payloads rather than letting blocks
+split absurdly small (ray guide "Memory-aware").
 """
 
 from __future__ import annotations
@@ -80,12 +83,12 @@ def _fake_decode(payload: bytes, media_type: str, meta: dict) -> np.ndarray:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: decode -> (resize | frame-sample) -> feature.
+    """Task stage: decode -> (resize | frame-sample) -> feature.
 
     ``codec="stub"`` marks exactly where a real decoder plugs in
     (Pillow / torchaudio on a production image); everything around it —
-    batching, actor state, zero-copy binary access, output schema — is
-    the real pipeline.
+    batching, zero-copy binary access, output schema — is the real
+    pipeline.
     """
 
     def __init__(self, codec: str = "fake", feature_dim: int = 32,
@@ -134,28 +137,21 @@ class MediaFeatureExtractor:
         return pa.Table.from_pylist(out, schema=FEATURE_SCHEMA)
 
 
-def media_features(media_ds, *, codec: str = "fake", batch_size: int = 32,
-                   concurrency=(1, 8)):
-    """media table -> feature table (actor pool, small batches: wide rows)."""
-    return media_ds.map_batches(
-        MediaFeatureExtractor,
-        fn_constructor_kwargs={"codec": codec},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def media_features(media_ds, *, codec: str = "fake"):
+    """media table -> feature table (small batches: wide rows)."""
+    return media_ds.map_batches(MediaFeatureExtractor(codec),
+                                batch_format="pyarrow", batch_size=32)
 
 
 class FrameSampler:
-    """Actor-pool flat-map stage: one media row -> one row per sampled
+    """Task flat-map stage: one media row -> one row per sampled
     frame (the video/audio analog of explode_spans).  Slicing happens on
     the raw payload via zero-copy buffer views; a real container parser
     (ffmpeg) plugs in at the same seam as the feature codec.  Output
     rows are narrow (one frame each), so downstream per-frame stages
     batch them freely regardless of source-file size — that is the
     point: a 2-hour video fans out across the cluster instead of
-    pinning one actor.
+    pinning one worker.
     """
 
     def __init__(self, codec: str = "fake", frame_stride: int = 4000,
@@ -202,18 +198,11 @@ class FrameSampler:
         })
 
 
-def sample_frames(media_ds, *, codec: str = "fake", frame_stride: int = 4000,
-                  batch_size: int = 16, concurrency=(1, 8)):
-    """media table -> frame table (actor pool; batches stay SMALL because
-    input rows are wide — the output is narrow and re-batches freely)."""
-    return media_ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"codec": codec, "frame_stride": frame_stride},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def sample_frames(media_ds, *, codec: str = "fake", frame_stride: int = 4000):
+    """media table -> frame table (batches stay SMALL because input rows
+    are wide — the output is narrow and re-batches freely)."""
+    return media_ds.map_batches(FrameSampler(codec, frame_stride),
+                                batch_format="pyarrow", batch_size=16)
 
 
 # ------------------------------------------ perceptual-hash dedup
@@ -262,8 +251,8 @@ def hamming64(a: int, b: int) -> int:
 
 
 class MediaPHasher:
-    """Actor-pool stage: decode -> phash64 per media row.  Same codec
-    seam as MediaFeatureExtractor (``stub`` raises at the decode)."""
+    """Task stage: decode -> phash64 per media row.  Same codec seam as
+    MediaFeatureExtractor (``stub`` raises at the decode)."""
 
     def __init__(self, codec: str = "fake"):
         if codec not in ("fake", "stub"):
@@ -291,17 +280,14 @@ class MediaPHasher:
         })
 
 
-def media_phashes(media_ds, *, codec: str = "fake",
-                  batch_size: int = 32, concurrency=(1, 8)):
+def media_phashes(media_ds, *, codec: str = "fake"):
     """media table -> (media_ref, media_type, phash:int64)."""
-    return media_ds.map_batches(
-        MediaPHasher, batch_size=batch_size, concurrency=concurrency,
-        fn_constructor_kwargs={"codec": codec},
-        batch_format="pyarrow")
+    return media_ds.map_batches(MediaPHasher(codec), batch_format="pyarrow",
+                                batch_size=32)
 
 
 def media_dup_pairs(media_ds, *, max_hamming: int = 6,
-                    codec: str = "fake", batch_size: int = 32):
+                    codec: str = "fake"):
     """Near-duplicate media pairs by perceptual hash — the simhash
     banding trick on the 64-bit phash: 4 x 16-bit bands bucket
     candidates (any pair within hamming 3 of each other shares a band
@@ -310,8 +296,7 @@ def media_dup_pairs(media_ds, *, max_hamming: int = 6,
     Returns Dataset[ref_a, ref_b, hamming] with ref_a < ref_b."""
     from ray.data.aggregate import Min
 
-    hashes = media_phashes(media_ds, codec=codec,
-                           batch_size=batch_size).materialize()
+    hashes = media_phashes(media_ds, codec=codec).materialize()
 
     def to_bands(batch: pa.Table) -> pa.Table:
         h = batch["phash"].to_numpy(zero_copy_only=False) \

@@ -99,3 +99,35 @@ class TestKeywordStage:
                   if r["doc_id"].startswith("kwdall-")]
         hits = keyword_hits(_extracted_ds(kwdall)).to_pandas()
         assert hits["keyword"].nunique() == len(keyword_list()) == 365
+
+
+def test_stages_run_as_tasks_not_actor_pools(ray_session, sample_rows,
+                                             monkeypatch):
+    """``keyword_hits`` and ``media_features`` execute as plain Ray Data
+    tasks: no ActorPoolMapOperator in either executed plan (a pool's
+    minimum actor can hold the only CPU of a small cluster and starve
+    the read feeding it)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ocr_ray.stages.multimodal import media_features, synth_media_table
+
+    operators = []
+    execute = StreamingExecutor.execute
+
+    def recording(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            operators.append(type(op).__name__)
+            stack.extend(op.input_dependencies)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    hits = keyword_hits(_extracted_ds(sample_rows),
+                        keywords=["acord cadru"]).take_all()
+    feats = media_features(rd.from_arrow(synth_media_table(8))).take_all()
+    assert len(hits) == 1 and len(feats) == 8
+    assert "TaskPoolMapOperator" in operators, operators
+    assert "ActorPoolMapOperator" not in operators, operators

@@ -132,6 +132,28 @@ class TestOcrSim:
         assert estimate_quality(text) > 85.0
 
 
+def test_conf_histogram_equals_loop_reference():
+    """The numpy histogram bins exactly like the per-value loop, at bin
+    edges too (0.3 * 10 rounds to 3.0000000000000004), for lists and
+    arrays, empty included."""
+    import numpy as np
+
+    from ocr_ray.kernels.extract import conf_histogram
+
+    def loop(confs, bins=10):
+        hist = [0] * bins
+        for c in confs:
+            hist[min(int(c * bins), bins - 1)] += 1
+        return hist
+
+    rng = np.random.default_rng(7)
+    edges = [0.0, 0.1, 0.3, 0.7, 0.9, 0.9999, 1.0]
+    for confs in ([], edges, rng.random(500).round(4).tolist()):
+        assert conf_histogram(confs) == loop(confs)
+        assert conf_histogram(np.asarray(confs, dtype=np.float64)) == \
+            loop(confs)
+
+
 class TestOcrDigest:
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 448, 1000])
     def test_block_equals_stream_prefix(self, n):

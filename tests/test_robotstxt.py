@@ -78,6 +78,18 @@ class TestMatching:
         assert r.delay_for("otherbot") is None
         assert r.sitemaps == ["http://example.com/sitemap.xml"]
 
+    def test_crawl_delay_comes_from_the_matched_group_only(self):
+        """A specific group that matches the agent governs its
+        Crawl-delay too: the ``*`` group's delay does not leak into it
+        (RFC 9309 group selection, as ``allowed`` applies it)."""
+        r = RobotsRules("User-agent: *\nCrawl-delay: 10\n\n"
+                        "User-agent: fastbot\nDisallow: /x\n\n"
+                        "User-agent: slowbot\nCrawl-delay: 3\n")
+        assert r.delay_for("FastBot/2.0") is None
+        assert r.delay_for("slowbot") == 3.0
+        assert r.delay_for("otherbot") == 10.0
+        assert r.delay_for() == 10.0
+
     def test_garbage_is_permissive(self):
         for junk in ["", "%%%\x00\x01", "no colons here at all"]:
             assert RobotsRules(junk).allowed("/x") is True
@@ -106,3 +118,21 @@ class TestDistributed:
         assert df.loc[2, "robots_allowed"] == False         # noqa: E712
         assert df.loc[3, "robots_allowed"] == True          # noqa: E712
         assert df.loc[4, "robots_allowed"] == True          # noqa: E712
+
+    def test_map_keyed_by_full_hostname(self, ray_session):
+        """robots.txt is per host: a map keyed by the full hostname
+        applies to that host's URLs, and only to them."""
+        import ray.data as rd
+
+        robots = {"blog.example.com": "User-agent: *\nDisallow: /drafts/\n"}
+        urls = ["http://blog.example.com/drafts/a",
+                "https://BLOG.example.com/drafts/b",
+                "http://blog.example.com/post",
+                "http://www.example.com/drafts/a"]
+        ds = rd.from_arrow(pa.table({
+            "url": pa.array(urls, pa.string()),
+            "row": pa.array(range(4), pa.int64())}))
+        df = (audit_crawl_compliance(ds, robots).to_pandas()
+              .set_index("row"))
+        assert list(df.sort_index()["robots_allowed"]) == \
+            [False, False, True, True]
