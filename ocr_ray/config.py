@@ -1,8 +1,13 @@
 """Typed pipeline configuration.
 
 The reference configures itself through environment variables
-(/root/reference/app/config.py:9-43); here the same knobs are a frozen
-dataclass that is cheap to ship to every Ray task / actor.
+(app/config.py:9-43).  Here a frozen dataclass, cheap to ship to every
+Ray task, holds only the settings a caller sets (``run_job.py``, the
+benchmark) or the benchmark reads.  The reference's fixed thresholds are
+constants of the module that applies them: ``cleaner.MIN_LINE_LENGTH``,
+``PERCENT_MAX_NUMERIC`` and ``PERCENT_MAX_NON_ASCII``,
+``quality.MIN_QUALITY``, ``htmlx.MAX_LINK_DENSITY`` and
+``bucketize.EXPLODE_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -14,14 +19,6 @@ from dataclasses import dataclass
 class PipelineConfig:
     # --- validation (analog of MAX_NUM_PAGES rejection, ocr_worker.py:161-167)
     max_spans_per_doc: int = 4000
-
-    # --- cleaning thresholds (text_processing.py:76-84 defaults)
-    min_line_length: int = 10
-    percent_max_numeric: float = 0.7
-    percent_max_non_ascii: float = 0.40
-
-    # --- quality gate (app/config.py:17 MIN_QUALITY; ocr_worker.py:214-222)
-    min_quality: float = 77.0
 
     # --- per-span straggler bound (tesseract-timeout analog,
     # ocr_service.py:40-41: 600 s/page). The simulated engine cannot
@@ -42,11 +39,6 @@ class PipelineConfig:
     # A corpus mixing both kinds is pre-bucketed by size and run as one
     # job of each (pipelines/bucketize.py, run_job.py --mode auto).
     pipeline_mode: str = "nested"
-    # small/big split point of that bucketing. Tuned to per-span COST,
-    # not count: at ~0.6 ms/span (simulated OCR) a 1000-span doc is 0.6 s
-    # of work — not a straggler; with real Tesseract (~s/page) drop this
-    # to ~32.
-    explode_threshold: int = 1000
 
     # --- Ray execution knobs
     # docs per ExtractDocs call (nested path); swept 32/64/128/256 at 32 CPUs:
@@ -62,8 +54,6 @@ class PipelineConfig:
         if self.pipeline_mode not in ("nested", "exploded"):
             raise ValueError(f"unknown pipeline_mode {self.pipeline_mode!r}"
                              " (expected 'nested' or 'exploded')")
-        if self.explode_threshold > self.max_spans_per_doc:
-            raise ValueError("explode_threshold must be <= max_spans_per_doc")
 
 
 DEFAULT_CONFIG = PipelineConfig()

@@ -5,7 +5,7 @@ Rule-for-rule reimplementation of the reference cleaner semantics
 per-rule (lines, chars) drop counters are observable through the metrics
 table, so they are preserved exactly:
 
-  1. strip; reject if len < min_line_length            -> ``min_length``
+  1. strip; reject if len < MIN_LINE_LENGTH            -> ``min_length``
   2. re-decode utf-8 ignoring bad bytes
   3. reject if a forbidden char occurs                  -> ``forbidden``
   4. reject if alpha == 0 or alpha/len < 0.5            -> ``low_alpha``
@@ -14,13 +14,18 @@ table, so they are preserved exactly:
   7. reject ascii-table lines (>2 '|' or '│', first char) -> counted under
      ``forbidden`` (same bucket as the reference, text_processing.py:158-167)
   8. substitutions: hyphen re-join, slash re-join, unicode-dash fold,
-     number-comma join, soft-hyphen strip, URL strip, email strip,
+     number-comma join, URL strip, email strip,
      table-separator strip, cedilla fixes (ţ->ț ş->ș Ţ->Ț Ş->Ș),
      mojibake 'Ã¢'->'â', '( ă)'->'(ă)', multi-space collapse
      (text_processing.py:23-69, 171-191)
-  9. re-reject if now shorter than min_line_length      -> ``min_length``
+  9. re-reject if now shorter than MIN_LINE_LENGTH      -> ``min_length``
      (counted with the ORIGINAL stripped length, as the reference does at
      text_processing.py:195)
+
+The thresholds 10, 0.7 and 0.4 are the constants ``MIN_LINE_LENGTH``,
+``PERCENT_MAX_NUMERIC`` and ``PERCENT_MAX_NON_ASCII``.  The reference's
+soft-hyphen strip is absent: U+00AD is in the unicode-dash class, whose
+fold runs first, so no soft hyphen is left for it to remove.
 
 Counters are plain ints (mergeable) rather than the reference's numpy
 uint64 pairs; ``CleanStats.merge`` is the associative combiner used for
@@ -46,7 +51,6 @@ _UNI_DASH = re.compile(
 )
 # '1, 4%' -> '1,4%'
 _NUM_COMMA = re.compile(r"([\d]+,)\s([\d]+)")
-_SOFT_HYPHEN = re.compile("[­]")
 _URL = re.compile(r"(?:www|http)\S+|<\S+|\w+\/*>")
 _EMAIL = re.compile(r"([^@]+@[^@]+\.[^@]+)")
 _TABLE_SEP_BOX = re.compile("[─]+")   # box-drawing '─' runs
@@ -55,6 +59,11 @@ _MULTI_SPACE = re.compile(" +")
 
 _CEDILLA_FIXES = (("( ă)", "(ă)"), ("ţ", "ț"), ("ş", "ș"),
                   ("Ţ", "Ț"), ("Ş", "Ș"), ("Ã¢", "â"))
+
+# reject thresholds (text_processing.py:76-84 defaults)
+MIN_LINE_LENGTH = 10
+PERCENT_MAX_NUMERIC = 0.7
+PERCENT_MAX_NON_ASCII = 0.40
 
 FORBIDDEN_CHARS = frozenset("ºþÈ™ÓÑÄÈÃ®ƒ")
 
@@ -110,14 +119,8 @@ class CleanStats:
                 self.non_ascii_lines)
 
 
-def clean_lines(
-    text: str,
-    *,
-    min_line_length: int = 10,
-    percent_max_numeric: float = 0.7,
-    percent_max_non_ascii: float = 0.40,
-    stats: CleanStats | None = None,
-) -> tuple[str, CleanStats]:
+def clean_lines(text: str, *,
+                stats: CleanStats | None = None) -> tuple[str, CleanStats]:
     """Apply the reject rules + substitutions line by line.
 
     Returns (cleaned_text, stats). Kept lines are newline-terminated and
@@ -132,7 +135,7 @@ def clean_lines(
         orig_len = len(line)
         st.total_original_chars += orig_len
 
-        if orig_len < min_line_length:
+        if orig_len < MIN_LINE_LENGTH:
             st.min_length_lines += 1
             st.min_length_chars += orig_len
             continue
@@ -177,11 +180,11 @@ def clean_lines(
             st.low_alpha_lines += 1
             st.low_alpha_chars += orig_len
             continue
-        if digits / alphas >= percent_max_numeric and digits > 6:
+        if digits / alphas >= PERCENT_MAX_NUMERIC and digits > 6:
             st.high_digit_lines += 1
             st.high_digit_chars += orig_len
             continue
-        if asciis / alphas < percent_max_non_ascii and orig_len > 15:
+        if asciis / alphas < PERCENT_MAX_NON_ASCII and orig_len > 15:
             st.non_ascii_lines += 1
             st.non_ascii_chars += orig_len
             continue
@@ -210,8 +213,6 @@ def clean_lines(
             line = _UNI_DASH.sub("-", line)
         if "," in line:
             line = _NUM_COMMA.sub(r"\1\2", line)
-        if not la:
-            line = _SOFT_HYPHEN.sub("", line)
         if "www" in line or "http" in line or "<" in line or ">" in line:
             line = _URL.sub("", line)
         if "@" in line:
@@ -227,7 +228,7 @@ def clean_lines(
             line = _MULTI_SPACE.sub(" ", line)
         line = line.strip()
 
-        if len(line) < min_line_length:
+        if len(line) < MIN_LINE_LENGTH:
             st.min_length_lines += 1
             st.min_length_chars += orig_len   # original length, by contract
             continue

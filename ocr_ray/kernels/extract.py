@@ -10,8 +10,9 @@ Ray-native restatement of the reference's per-document chain
 * ``kind == "text"`` spans: DOM block extraction (htmlx) + line cleaner —
   the HTML analog of get_ocrized_text_from_blocks (ocr_service.py:137-145);
 * ``kind == "media"`` spans: simulated OCR pass + line cleaner + quality
-  estimate; quality < min_quality triggers ONE force-rotate re-OCR
-  (ocr_worker.py:214-222, app/config.py:17) and the retried pass wins;
+  estimate; quality < ``quality.MIN_QUALITY`` triggers ONE force-rotate
+  re-OCR (ocr_worker.py:214-222, app/config.py:17) and the retried pass
+  wins, unless the first pass took longer than ``span_soft_timeout_ms``;
 * output spans keep (kind, media_ref, offset) and are ordered by offset —
   the span-sequence-equality invariant.
 
@@ -30,7 +31,7 @@ from ..config import DEFAULT_CONFIG, PipelineConfig
 from .cleaner import CleanStats, clean_lines
 from .htmlx import extract_main_text
 from .ocr_sim import run_ocr
-from .quality import estimate_quality
+from .quality import MIN_QUALITY, estimate_quality
 
 VALID_KINDS = ("text", "media")
 
@@ -136,14 +137,7 @@ def extract_span(
     """
     st = stats if stats is not None else CleanStats()
     if kind == "text":
-        raw = extract_main_text(text)
-        cleaned, _ = clean_lines(
-            raw,
-            min_line_length=cfg.min_line_length,
-            percent_max_numeric=cfg.percent_max_numeric,
-            percent_max_non_ascii=cfg.percent_max_non_ascii,
-            stats=st,
-        )
+        cleaned, _ = clean_lines(extract_main_text(text), stats=st)
         return cleaned, {"quality": -1.0, "retried": False, "confs": []}
 
     # media span: OCR -> clean -> quality gate -> maybe force-rotate retry
@@ -153,28 +147,16 @@ def extract_span(
     raw, confs = run_ocr(media_ref)
     first_pass_ms = (_time.monotonic() - t0) * 1000.0
     pass_stats = CleanStats()
-    cleaned, _ = clean_lines(
-        raw,
-        min_line_length=cfg.min_line_length,
-        percent_max_numeric=cfg.percent_max_numeric,
-        percent_max_non_ascii=cfg.percent_max_non_ascii,
-        stats=pass_stats,
-    )
+    cleaned, _ = clean_lines(raw, stats=pass_stats)
     q = estimate_quality(cleaned)
     retried = False
     # straggler bound: skip the retry when the first pass already blew the
     # per-span budget (ocr_service.py:40-41 timeout analog)
-    if q < cfg.min_quality and first_pass_ms <= cfg.span_soft_timeout_ms:
+    if q < MIN_QUALITY and first_pass_ms <= cfg.span_soft_timeout_ms:
         retried = True
         raw, confs = run_ocr(media_ref, force_rotate=True)
         pass_stats = CleanStats()
-        cleaned, _ = clean_lines(
-            raw,
-            min_line_length=cfg.min_line_length,
-            percent_max_numeric=cfg.percent_max_numeric,
-            percent_max_non_ascii=cfg.percent_max_non_ascii,
-            stats=pass_stats,
-        )
+        cleaned, _ = clean_lines(raw, stats=pass_stats)
         q = estimate_quality(cleaned)
     st.merge(pass_stats)  # only the winning pass lands in the metrics
     return cleaned, {"quality": q, "retried": retried, "confs": confs}

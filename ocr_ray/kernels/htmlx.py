@@ -9,8 +9,9 @@ scored readability/trafilatura-style:
 * container tags ``nav header footer aside script style form noscript``
   are boilerplate — every block inside them is dropped;
 * a block's **link density** = chars inside <a> / total chars; blocks whose
-  link density > 0.5 are link farms and dropped (they never even reach the
-  line cleaner, mirroring how the reference never OCRs annotations);
+  link density > ``MAX_LINK_DENSITY`` (0.5) are link farms and dropped
+  (they never even reach the line cleaner, mirroring how the reference
+  never OCRs annotations);
 * surviving blocks keep their text with intra-block whitespace collapsed to
   single spaces (the '\\n' -> ' ' flatten of ocr_service.py:143).
 
@@ -37,6 +38,9 @@ BLOCK_TAGS = frozenset(
 )
 # subtree = boilerplate
 DROP_TAGS = frozenset("nav header footer aside script style form noscript".split())
+# link-farm cutoff (readability/trafilatura-style block scoring): a block
+# whose <a> chars exceed this share of its chars is dropped
+MAX_LINK_DENSITY = 0.5
 # elements with no closing tag
 VOID_TAGS = frozenset("br hr img meta link input area base col embed source track wbr".split())
 
@@ -278,14 +282,13 @@ def _scan_fused(html: str) -> list[tuple[str, int]]:
     return blocks
 
 
-def _drop_link_farms(blocks: list[tuple[str, int]],
-                     max_link_density: float = 0.5) -> list[str]:
-    """Drop link-farm blocks (link chars / chars > max_link_density)."""
+def _drop_link_farms(blocks: list[tuple[str, int]]) -> list[str]:
+    """Drop link-farm blocks (link chars / chars > MAX_LINK_DENSITY)."""
     return [text for text, link_chars in blocks
-            if not (text and link_chars / len(text) > max_link_density)]
+            if not (text and link_chars / len(text) > MAX_LINK_DENSITY)]
 
 
-def html_to_blocks(html: str, *, max_link_density: float = 0.5) -> list[str]:
+def html_to_blocks(html: str) -> list[str]:
     """Parse HTML into reading-order main-content blocks.
 
     Pure function; tolerant of malformed HTML (never raises).  Plain
@@ -303,10 +306,10 @@ def html_to_blocks(html: str, *, max_link_density: float = 0.5) -> list[str]:
         except Exception:
             pass
         blocks = parser.blocks
-    return _drop_link_farms(blocks, max_link_density)
+    return _drop_link_farms(blocks)
 
 
-def extract_main_text(html: str, *, max_link_density: float = 0.5) -> str:
+def extract_main_text(html: str) -> str:
     """Blocks joined by newline — the input contract of the line cleaner
     (the reference joins block texts with '\\n', ocr_service.py:143)."""
-    return "\n".join(html_to_blocks(html, max_link_density=max_link_density))
+    return "\n".join(html_to_blocks(html))

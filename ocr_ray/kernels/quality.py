@@ -9,6 +9,9 @@ Reference semantics (app/services/ocr_evaluation.py:41-90):
   the score)
 * ``estimate_quality`` = round((cer + wer) / 2 * 100, 2); invalid text
   scores a vacuous 100 (so empty pages never trigger the retry)
+
+A media span scoring below ``MIN_QUALITY`` gets one force-rotate re-OCR
+(``kernels/extract.extract_span``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import re
 
 from .textnorm import normalize_word, tokenize
 from .wordpool import PLAUSIBLE_CHARS, vocabulary
+
+# retry gate (app/config.py:17 MIN_QUALITY; ocr_worker.py:214-222)
+MIN_QUALITY = 77.0
 
 _NON_LETTER = re.compile(r"[^a-z]+")
 # str.translate map deleting every plausible char: count-by-deletion at
@@ -54,7 +60,7 @@ def wer(text: str, vocab: frozenset | None = None) -> float:
 
 
 def estimate_quality(text: str, vocab: frozenset | None = None) -> float:
-    """0-100 quality score; gate threshold lives in PipelineConfig.min_quality."""
+    """0-100 quality score; below ``MIN_QUALITY`` the span is retried."""
     if not validate_text(text):
         return 100.0
     return round((cer(text) + wer(text, vocab)) / 2 * 100, 2)

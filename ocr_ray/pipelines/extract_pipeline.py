@@ -19,9 +19,11 @@ Physical notes (SURVEY.md §4):
   pre-bucketed by size and run as one job of each
   (pipelines/bucketize.py) — never a union of two branches in one
   execution.
-* the ONLY all-to-all shuffle is the exploded path's reassembly
-  ``groupby`` — per-span rows distribute evenly, which IS the skew
-  mitigation: a 900-span doc becomes 900 independent rows.
+* the nested path has no all-to-all operator.  The exploded path has
+  two: the ``repartition`` before ``ExtractSpans`` (it runs as
+  ``AllToAllOperator[Repartition]``) and the reassembly ``groupby``
+  (``AllToAllOperator[Sort]``).  Per-span rows distribute evenly, which
+  IS the skew mitigation: a 900-span doc becomes 900 independent rows.
 * no stage materializes the dataset; output is streamed to partitioned
   parquet.  Failed docs are not dropped (reference marks them
   ocr_failed, ocr_worker.py:322-330): both modes carry them inline as

@@ -254,6 +254,26 @@ class TestIncrementalAppend:
         with pytest.raises(RuntimeError, match="gone"):
             CheckpointedRunner(str(d), out, n_shards=1).append_new_files()
 
+    def test_resume_refuses_rewritten_committed_input(
+            self, ray_session, small_corpus, tmp_path_factory):
+        """A committed fragment rewritten under the same name keeps the
+        shard composition; resume must still refuse it, or the
+        fragment's stale documents stay in the output."""
+        import pyarrow.parquet as pq
+
+        d = tmp_path_factory.mktemp("rewrite_corpus")
+        out = str(tmp_path_factory.mktemp("rewrite_out"))
+        pq.write_table(small_corpus.slice(0, 20), str(d / "part-0.parquet"))
+        CheckpointedRunner(str(d), out, n_shards=1).run()
+
+        # same name, other documents
+        pq.write_table(small_corpus.slice(20, 25), str(d / "part-0.parquet"))
+        with pytest.raises(RuntimeError, match="changed since"):
+            CheckpointedRunner(str(d), out, n_shards=1).run(resume=True)
+        # a fresh run over the rewritten input is still allowed
+        s = CheckpointedRunner(str(d), out, n_shards=1).run(resume=False)
+        assert s["shards_run"] == [0]
+
 
 class TestRunReport:
     def test_report_matches_run_manifest(self, ray_session, tmp_path):

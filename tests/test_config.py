@@ -1,6 +1,6 @@
-"""PipelineConfig validation, its field list and the job scripts' --mode
-choices — Ray-free: a bad mode must fail before any job touches its
-output."""
+"""PipelineConfig validation, its field list, the bucketing threshold
+check and the job scripts' --mode choices — Ray-free: a bad setting must
+fail before any job touches its output."""
 
 import subprocess
 import sys
@@ -25,15 +25,23 @@ def test_fields_are_the_knobs_callers_set():
     from dataclasses import fields
 
     assert [f.name for f in fields(PipelineConfig)] == [
-        "max_spans_per_doc", "min_line_length", "percent_max_numeric",
-        "percent_max_non_ascii", "min_quality", "span_soft_timeout_ms",
-        "pipeline_mode", "explode_threshold", "extract_batch_size",
-        "span_batch_size"]
+        "max_spans_per_doc", "span_soft_timeout_ms", "pipeline_mode",
+        "extract_batch_size", "span_batch_size"]
 
 
-def test_explode_threshold_still_checked():
-    with pytest.raises(ValueError, match="explode_threshold"):
-        PipelineConfig(max_spans_per_doc=10, explode_threshold=11)
+def test_explode_threshold_still_checked(tmp_path):
+    from ocr_ray.pipelines.bucketize import bucketize_corpus
+
+    out = tmp_path / "bucketed"
+    out.mkdir()
+    (out / "keep.parquet").write_bytes(b"prior layout")
+    with pytest.raises(ValueError, match="max_spans_per_doc"):
+        bucketize_corpus(str(tmp_path / "missing-input"), str(out),
+                         threshold=11,
+                         cfg=PipelineConfig(max_spans_per_doc=10))
+    # refused before the fresh-run wipe: the old layout is untouched
+    assert [p.name for p in out.iterdir()] == ["keep.parquet"]
+    assert (out / "keep.parquet").read_bytes() == b"prior layout"
 
 
 @pytest.mark.parametrize("script", ["run_job.py", "submit_job.py"])

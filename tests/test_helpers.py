@@ -39,29 +39,36 @@ class TestDenseLookup:
 
 
 class TestBloom:
+    """The q3 filter: ``_bloom4_probe`` at 2^20 bits over int keys."""
+
+    LOG2M = 20
+
     def test_no_false_negatives(self):
-        from ocr_ray.functions.relational import _bloom_hashes, _BLOOM_BITS
-        import numpy as np
+        from ocr_ray.functions.relational import (_BLOOM4_SEEDS,
+                                                  _bloom4_probe,
+                                                  _key_hash_u64)
 
-        keys = np.arange(1, 50001, dtype=np.uint64)
-        nwords = _BLOOM_BITS // 64
-        bm = np.zeros(nwords, np.uint64)
-        for h in _bloom_hashes(keys):
-            np.bitwise_or.at(bm, (h >> np.uint64(6)).astype(np.int64),
-                             np.uint64(1) << (h & np.uint64(63)))
-        from ocr_ray.functions.relational import _bloom_probe
+        keys = np.arange(1, 50001, dtype=np.int64)
+        # the bit positions _bloom4_build's per-block accumulate sets
+        h, _ = _key_hash_u64(keys)
+        bm = np.zeros((1 << self.LOG2M) // 64, np.uint64)
+        for seed in _BLOOM4_SEEDS:
+            with np.errstate(over="ignore"):
+                b = (h * np.uint64(seed)) >> np.uint64(64 - self.LOG2M)
+            np.bitwise_or.at(bm, (b >> np.uint64(6)).astype(np.int64),
+                             np.uint64(1) << (b & np.uint64(63)))
 
-        assert _bloom_probe(bm, keys).all()          # zero false negatives
-        probe = np.arange(10_000_000, 10_050_000, dtype=np.uint64)
-        fp_rate = _bloom_probe(bm, probe).mean()
-        assert fp_rate < 0.02                         # ~1% at 50k keys
+        assert _bloom4_probe(bm, self.LOG2M, keys).all()  # no false negatives
+        probe = np.arange(10_000_000, 10_050_000, dtype=np.int64)
+        fp_rate = _bloom4_probe(bm, self.LOG2M, probe).mean()
+        assert fp_rate < 0.02                         # ~0.1% at 50k keys
 
     def test_empty_filter_rejects_all(self):
-        from ocr_ray.functions.relational import _bloom_probe, _BLOOM_BITS
+        from ocr_ray.functions.relational import _bloom4_probe
 
-        bm = np.zeros(_BLOOM_BITS // 64, np.uint64)
-        assert not _bloom_probe(bm, np.array([1, 2, 3],
-                                             np.uint64)).any()
+        bm = np.zeros((1 << self.LOG2M) // 64, np.uint64)
+        assert not _bloom4_probe(bm, self.LOG2M,
+                                 np.array([1, 2, 3], np.int64)).any()
 
 
 class TestNparts:

@@ -62,6 +62,10 @@ class TestCleaner:
         assert "@" not in out
         out, _ = clean_lines("Cuvinte vechi: naţional şi internaţional împreună aici")
         assert "ț" in out and "ţ" not in out
+        # a soft hyphen folds to '-' with the unicode dashes, and the
+        # table-separator rule then drops it
+        out, _ = clean_lines("Documentul a fost inter\u00adpretat corect aici")
+        assert out == "Documentul a fost interpretat corect aici\n"
 
     def test_post_substitution_min_length(self):
         # URL strip leaves a too-short remainder -> counted under min_length
